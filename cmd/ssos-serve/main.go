@@ -39,6 +39,9 @@ import (
 	"ssos/internal/serve"
 )
 
+// readHeaderTimeout is the fixed limit on reading a request's headers.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8023", "listen address (use :0 for an ephemeral port; the actual address is printed)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off); keep it loopback-only")
@@ -55,7 +58,10 @@ func main() {
 		Workers:     *workers,
 		RingSize:    *ringSize,
 	})
-	srv := &http.Server{Handler: serve.NewServer(reg)}
+	// ReadHeaderTimeout bounds how long a client may take to send its
+	// request headers, so slow or idle connections cannot hold the
+	// server's connection slots indefinitely.
+	srv := &http.Server{Handler: serve.NewServer(reg), ReadHeaderTimeout: readHeaderTimeout}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

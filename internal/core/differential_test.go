@@ -2,59 +2,67 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"ssos/internal/fault"
 	"ssos/internal/isa"
 	"ssos/internal/mem"
 	"ssos/internal/obs"
 )
 
-// The differential harness for the predecoded instruction cache: a
-// cache-enabled and a cache-disabled machine are driven in lockstep —
-// same guest, same randomized initial configuration, same injected
-// faults at the same steps — and must agree on every observable at
-// every step. This is the soundness argument for the fast path made
-// executable: from ANY initial configuration, under active fault
-// injection, serving a cached decode must be bit-identical to
-// re-decoding from memory.
+// The differential harness for the execution engines: a system on the
+// superblock engine (the default) and one on the reference interpreter
+// (SetSuperblocks(false)) are driven in lockstep — same guest, same
+// randomized initial configuration, same injected faults at the same
+// steps — and must agree on every architectural observable. This is
+// the soundness argument for the fast path made executable: from ANY
+// initial configuration, under active fault injection, serving a
+// predecoded block must be bit-identical to fetching and decoding
+// from memory every step.
 
-// diffPair is one lockstep pair of systems.
+// diffLabels names the engines in newDiffPair order.
+var diffLabels = [2]string{"superblock", "interp"}
+
+// diffPair is one lockstep pair of systems: superblocks, interpreter.
 type diffPair struct {
-	fast, slow *System
-	colF, colS *obs.Collector
+	sys [2]*System
+	col [2]*obs.Collector
 }
 
 func newDiffPair(t *testing.T, ap Approach) *diffPair {
 	t.Helper()
-	p := &diffPair{
-		fast: MustNew(Config{Approach: ap}),
-		slow: MustNew(Config{Approach: ap}),
-		colF: obs.NewCollector(),
-		colS: obs.NewCollector(),
+	p := &diffPair{}
+	for i := range p.sys {
+		p.sys[i] = MustNew(Config{Approach: ap})
+		p.col[i] = obs.NewCollector()
+		p.sys[i].Instrument(p.col[i])
 	}
-	p.slow.M.SetDecodeCache(false)
-	p.fast.Instrument(p.colF)
-	p.slow.Instrument(p.colS)
+	p.sys[1].M.SetSuperblocks(false)
 	return p
+}
+
+func (p *diffPair) each(f func(s *System)) {
+	for _, s := range p.sys {
+		f(s)
+	}
 }
 
 // pokeBoth writes the same byte to the same address on both buses.
 func (p *diffPair) pokeBoth(addr uint32, v byte) {
-	p.fast.M.Bus.PokeRAM(addr, v)
-	p.slow.M.Bus.PokeRAM(addr, v)
+	p.each(func(s *System) { s.M.Bus.PokeRAM(addr, v) })
 }
 
 // injectSame applies one identical random fault to both machines. The
 // menu mirrors the fault package's corruption classes but is applied
 // symmetrically, which a per-machine Injector cannot do.
 func (p *diffPair) injectSame(rng *rand.Rand) {
-	mf, ms := p.fast.M, p.slow.M
 	switch rng.Intn(8) {
 	case 0: // RAM bit flip — the classic transient fault
 		a := uint32(rng.Intn(mem.AddrSpace))
-		v := p.fast.M.Bus.Peek(a) ^ (1 << uint(rng.Intn(8)))
+		v := p.sys[0].M.Bus.Peek(a) ^ (1 << uint(rng.Intn(8)))
 		p.pokeBoth(a, v)
 	case 1: // burst of byte corruptions
 		for i := 0; i < 16; i++ {
@@ -62,54 +70,85 @@ func (p *diffPair) injectSame(rng *rand.Rand) {
 		}
 	case 2:
 		v := uint16(rng.Intn(1 << 16))
-		mf.CPU.IP, ms.CPU.IP = v, v
+		p.each(func(s *System) { s.M.CPU.IP = v })
 	case 3:
 		r := isa.SReg(rng.Intn(int(isa.NumSRegs)))
 		v := uint16(rng.Intn(1 << 16))
-		mf.CPU.S[r], ms.CPU.S[r] = v, v
+		p.each(func(s *System) { s.M.CPU.S[r] = v })
 	case 4:
 		v := isa.Flags(rng.Intn(1 << 16))
-		mf.CPU.Flags, ms.CPU.Flags = v, v
+		p.each(func(s *System) { s.M.CPU.Flags = v })
 	case 5:
 		v := uint16(rng.Intn(1 << 16))
-		mf.CPU.NMICounter, ms.CPU.NMICounter = v, v
+		p.each(func(s *System) { s.M.CPU.NMICounter = v })
 	case 6:
-		mf.RaiseNMI()
-		ms.RaiseNMI()
+		p.each(func(s *System) { s.M.RaiseNMI() })
 	case 7:
 		v := rng.Intn(2) == 0
-		mf.CPU.Halted, ms.CPU.Halted = v, v
+		p.each(func(s *System) { s.M.CPU.Halted = v })
+	}
+}
+
+// randomizeSame gives both systems the same any-state start: random
+// soup in every RAM byte (PokeRAM skips ROM on both alike) and a random
+// CPU configuration.
+func (p *diffPair) randomizeSame(rng *rand.Rand) {
+	for a := 0; a < mem.AddrSpace; a++ {
+		p.pokeBoth(uint32(a), byte(rng.Intn(256)))
+	}
+	cpu := p.sys[0].M.CPU
+	for i := range cpu.R {
+		cpu.R[i] = uint16(rng.Intn(1 << 16))
+	}
+	for i := range cpu.S {
+		cpu.S[i] = uint16(rng.Intn(1 << 16))
+	}
+	cpu.IP = uint16(rng.Intn(1 << 16))
+	cpu.Flags = isa.Flags(rng.Intn(1 << 16))
+	cpu.NMICounter = uint16(rng.Intn(1 << 16))
+	p.each(func(s *System) { s.M.CPU = cpu })
+}
+
+// stepSame steps both systems once and asserts the events agree.
+func (p *diffPair) stepSame(t *testing.T, tag string, step int) {
+	t.Helper()
+	evS, evI := p.sys[0].M.Step(), p.sys[1].M.Step()
+	if evS != evI {
+		t.Fatalf("%s step %d: event diverged: superblock=%v interp=%v", tag, step, evS, evI)
 	}
 }
 
 // compare asserts that every observable of the pair is identical.
+// Stats compare through Arch(): block counters are engine telemetry.
 func (p *diffPair) compare(t *testing.T, tag string) {
 	t.Helper()
-	if p.fast.M.CPU != p.slow.M.CPU {
-		t.Fatalf("%s: CPU diverged:\n cached: %+v\nuncached: %+v", tag, p.fast.M.CPU, p.slow.M.CPU)
+	sb, ref := p.sys[0], p.sys[1]
+	if sb.M.CPU != ref.M.CPU {
+		t.Fatalf("%s: CPU diverged:\nsuperblock: %+v\n    interp: %+v", tag, sb.M.CPU, ref.M.CPU)
 	}
-	if p.fast.M.Stats != p.slow.M.Stats {
-		t.Fatalf("%s: stats diverged:\n cached: %v\nuncached: %v", tag, p.fast.M.Stats, p.slow.M.Stats)
+	if sb.M.Stats.Arch() != ref.M.Stats.Arch() {
+		t.Fatalf("%s: stats diverged:\nsuperblock: %v\n    interp: %v", tag, sb.M.Stats, ref.M.Stats)
 	}
-	if !bytes.Equal(p.fast.M.Bus.Snapshot(), p.slow.M.Bus.Snapshot()) {
+	if !bytes.Equal(sb.M.Bus.Snapshot(), ref.M.Bus.Snapshot()) {
 		t.Fatalf("%s: memory images diverged", tag)
 	}
-	if !reflect.DeepEqual(p.colF.Events(), p.colS.Events()) {
+	if !reflect.DeepEqual(p.col[0].Events(), p.col[1].Events()) {
 		t.Fatalf("%s: observability event streams diverged (%d vs %d events)",
-			tag, len(p.colF.Events()), len(p.colS.Events()))
+			tag, len(p.col[0].Events()), len(p.col[1].Events()))
 	}
-	if p.fast.Heartbeat != nil {
-		wf, ws := p.fast.Heartbeat.Writes(), p.slow.Heartbeat.Writes()
+	if ref.Heartbeat != nil {
+		wf, ws := sb.Heartbeat.Writes(), ref.Heartbeat.Writes()
 		if !reflect.DeepEqual(wf, ws) {
 			t.Fatalf("%s: heartbeat streams diverged (%d vs %d writes)", tag, len(wf), len(ws))
 		}
 	}
 }
 
-// TestDecodeCacheDifferential runs cached and uncached machines in
-// lockstep under continuous fault injection, for every transferable
+// TestDecodeCacheDifferential runs the two engines one Step at a time
+// in lockstep under continuous fault injection, for every transferable
 // kernel approach, from both the clean boot state and fully randomized
-// RAM + CPU configurations.
+// RAM + CPU configurations. Step is the one-step case of Run, so the
+// superblock system retires these steps through blocks.
 func TestDecodeCacheDifferential(t *testing.T) {
 	steps := 40000
 	trials := 4
@@ -120,173 +159,86 @@ func TestDecodeCacheDifferential(t *testing.T) {
 		for trial := 0; trial < trials; trial++ {
 			p := newDiffPair(t, ap)
 			rng := rand.New(rand.NewSource(int64(9000 + 100*int(ap) + trial)))
-
 			if trial%2 == 1 {
-				// Any-state start: identical random soup in every RAM
-				// byte (PokeRAM skips ROM on both alike) and a random
-				// CPU configuration.
-				for a := 0; a < mem.AddrSpace; a++ {
-					p.pokeBoth(uint32(a), byte(rng.Intn(256)))
-				}
-				cpu := p.fast.M.CPU
-				for i := range cpu.R {
-					cpu.R[i] = uint16(rng.Intn(1 << 16))
-				}
-				for i := range cpu.S {
-					cpu.S[i] = uint16(rng.Intn(1 << 16))
-				}
-				cpu.IP = uint16(rng.Intn(1 << 16))
-				cpu.Flags = isa.Flags(rng.Intn(1 << 16))
-				cpu.NMICounter = uint16(rng.Intn(1 << 16))
-				p.fast.M.CPU, p.slow.M.CPU = cpu, cpu
+				p.randomizeSame(rng)
 			}
-
+			tag := fmt.Sprintf("approach %v trial %d", ap, trial)
 			for i := 0; i < steps; i++ {
 				if rng.Intn(101) == 0 {
 					p.injectSame(rng)
 				}
-				evF, evS := p.fast.M.Step(), p.slow.M.Step()
-				if evF != evS {
-					t.Fatalf("approach %v trial %d step %d: event diverged: cached=%v uncached=%v",
-						ap, trial, i, evF, evS)
-				}
+				p.stepSame(t, tag, i)
 			}
 			p.compare(t, ap.String()+"/final")
 		}
 	}
 }
 
-// diffTriple is one lockstep triple of systems: full engine stack
-// (decode cache + superblocks), predecode only, reference interpreter.
-type diffTriple struct {
-	sys [3]*System
-	col [3]*obs.Collector
-}
-
-var tripleLabels = [3]string{"superblock", "predecode", "interp"}
-
-func newDiffTriple(t *testing.T, ap Approach) *diffTriple {
-	t.Helper()
-	p := &diffTriple{}
-	for i := range p.sys {
-		p.sys[i] = MustNew(Config{Approach: ap})
-		p.col[i] = obs.NewCollector()
-		p.sys[i].Instrument(p.col[i])
-	}
-	p.sys[1].M.SetSuperblocks(false)
-	p.sys[2].M.SetDecodeCache(false)
-	return p
-}
-
-func (p *diffTriple) each(f func(s *System)) {
-	for _, s := range p.sys {
-		f(s)
-	}
-}
-
-// compare asserts that every observable of the triple is identical.
-// Stats compare through Arch(): block counters are engine telemetry.
-func (p *diffTriple) compare(t *testing.T, tag string) {
-	t.Helper()
-	ref := p.sys[2]
-	for i := 0; i < 2; i++ {
-		lbl := tripleLabels[i]
-		if p.sys[i].M.CPU != ref.M.CPU {
-			t.Fatalf("%s: %s CPU diverged:\n%s: %+v\ninterp: %+v",
-				tag, lbl, lbl, p.sys[i].M.CPU, ref.M.CPU)
-		}
-		if p.sys[i].M.Stats.Arch() != ref.M.Stats.Arch() {
-			t.Fatalf("%s: %s stats diverged:\n%s: %v\ninterp: %v",
-				tag, lbl, lbl, p.sys[i].M.Stats, ref.M.Stats)
-		}
-		if !bytes.Equal(p.sys[i].M.Bus.Snapshot(), ref.M.Bus.Snapshot()) {
-			t.Fatalf("%s: %s memory image diverged", tag, lbl)
-		}
-		if !reflect.DeepEqual(p.col[i].Events(), p.col[2].Events()) {
-			t.Fatalf("%s: %s observability event stream diverged (%d vs %d events)",
-				tag, lbl, len(p.col[i].Events()), len(p.col[2].Events()))
-		}
-		if ref.Heartbeat != nil {
-			if !reflect.DeepEqual(p.sys[i].Heartbeat.Writes(), ref.Heartbeat.Writes()) {
-				t.Fatalf("%s: %s heartbeat stream diverged", tag, lbl)
-			}
-		}
-	}
-}
-
-// TestSuperblockDifferentialRunBatches drives the three engines through
-// real guest kernels via Run in uneven batches — the only path that
-// exercises the batched loop, turbo lane and block chaining — with
-// identical faults injected at batch boundaries, from both the clean
-// boot state and fully randomized RAM + CPU configurations. The
-// two-way Step-driven suite above remains as-is; this one covers what
-// Step cannot reach.
+// TestSuperblockDifferentialRunBatches drives the two engines through
+// real guest kernels via Run in uneven batches — the path that
+// exercises the turbo lane and block chaining — with identical faults
+// injected at batch boundaries, from both the clean boot state and
+// fully randomized RAM + CPU configurations. A second configuration
+// attaches a fault.Injector Rate hook with the same seed to both
+// systems, so every step runs the full skeleton with an AfterStep hook
+// striking random faults from inside the step loop.
 func TestSuperblockDifferentialRunBatches(t *testing.T) {
 	batches, trials := 600, 4
 	if testing.Short() {
 		batches, trials = 150, 2
 	}
-	for _, ap := range []Approach{ApproachBaseline, ApproachReinstall, ApproachMonitor} {
-		for trial := 0; trial < trials; trial++ {
-			p := newDiffTriple(t, ap)
-			rng := rand.New(rand.NewSource(int64(31000 + 100*int(ap) + trial)))
-
-			if trial%2 == 1 {
-				// Any-state start, identical across the triple.
-				for a := 0; a < mem.AddrSpace; a++ {
-					v := byte(rng.Intn(256))
-					p.each(func(s *System) { s.M.Bus.PokeRAM(uint32(a), v) })
+	for _, hooked := range []bool{false, true} {
+		for _, ap := range []Approach{ApproachBaseline, ApproachReinstall, ApproachMonitor} {
+			for trial := 0; trial < trials; trial++ {
+				seed := int64(31000 + 100*int(ap) + trial)
+				tag := ap.String()
+				p := newDiffPair(t, ap)
+				if hooked {
+					seed += 50
+					tag += "/rate-hook"
+					p.each(func(s *System) { fault.NewInjector(s.M, seed).Rate(1e-3) })
 				}
-				cpu := p.sys[0].M.CPU
-				for i := range cpu.R {
-					cpu.R[i] = uint16(rng.Intn(1 << 16))
+				rng := rand.New(rand.NewSource(seed))
+				if trial%2 == 1 {
+					p.randomizeSame(rng)
 				}
-				for i := range cpu.S {
-					cpu.S[i] = uint16(rng.Intn(1 << 16))
-				}
-				cpu.IP = uint16(rng.Intn(1 << 16))
-				cpu.Flags = isa.Flags(rng.Intn(1 << 16))
-				cpu.NMICounter = uint16(rng.Intn(1 << 16))
-				p.each(func(s *System) { s.M.CPU = cpu })
-			}
-
-			for b := 0; b < batches; b++ {
-				if rng.Intn(5) == 0 {
-					switch rng.Intn(7) {
-					case 0:
-						a := uint32(rng.Intn(mem.AddrSpace))
-						v := p.sys[0].M.Bus.Peek(a) ^ (1 << uint(rng.Intn(8)))
-						p.each(func(s *System) { s.M.Bus.PokeRAM(a, v) })
-					case 1: // land on the live code stream
-						a := (uint32(p.sys[0].M.CPU.S[isa.CS])<<4 +
-							uint32(p.sys[0].M.CPU.IP) + uint32(rng.Intn(16))) & mem.AddrMask
-						v := byte(rng.Intn(256))
-						p.each(func(s *System) { s.M.Bus.PokeRAM(a, v) })
-					case 2:
-						v := uint16(rng.Intn(1 << 16))
-						p.each(func(s *System) { s.M.CPU.IP = v })
-					case 3:
-						r := isa.SReg(rng.Intn(int(isa.NumSRegs)))
-						v := uint16(rng.Intn(1 << 16))
-						p.each(func(s *System) { s.M.CPU.S[r] = v })
-					case 4:
-						v := isa.Flags(rng.Intn(1 << 16))
-						p.each(func(s *System) { s.M.CPU.Flags = v })
-					case 5:
-						p.each(func(s *System) { s.M.RaiseNMI() })
-					case 6:
-						v := rng.Intn(2) == 0
-						p.each(func(s *System) { s.M.CPU.Halted = v })
+				for b := 0; b < batches; b++ {
+					if rng.Intn(5) == 0 {
+						switch rng.Intn(7) {
+						case 0:
+							a := uint32(rng.Intn(mem.AddrSpace))
+							v := p.sys[0].M.Bus.Peek(a) ^ (1 << uint(rng.Intn(8)))
+							p.pokeBoth(a, v)
+						case 1: // land on the live code stream
+							a := (uint32(p.sys[0].M.CPU.S[isa.CS])<<4 +
+								uint32(p.sys[0].M.CPU.IP) + uint32(rng.Intn(16))) & mem.AddrMask
+							p.pokeBoth(a, byte(rng.Intn(256)))
+						case 2:
+							v := uint16(rng.Intn(1 << 16))
+							p.each(func(s *System) { s.M.CPU.IP = v })
+						case 3:
+							r := isa.SReg(rng.Intn(int(isa.NumSRegs)))
+							v := uint16(rng.Intn(1 << 16))
+							p.each(func(s *System) { s.M.CPU.S[r] = v })
+						case 4:
+							v := isa.Flags(rng.Intn(1 << 16))
+							p.each(func(s *System) { s.M.CPU.Flags = v })
+						case 5:
+							p.each(func(s *System) { s.M.RaiseNMI() })
+						case 6:
+							v := rng.Intn(2) == 0
+							p.each(func(s *System) { s.M.CPU.Halted = v })
+						}
+					}
+					n := rng.Intn(197) + 1
+					p.each(func(s *System) { s.M.Run(n) })
+					// Cheap per-batch agreement; full compare at trial end.
+					if p.sys[0].M.CPU != p.sys[1].M.CPU {
+						p.compare(t, tag+"/batch")
 					}
 				}
-				n := rng.Intn(197) + 1
-				p.each(func(s *System) { s.M.Run(n) })
-				// Cheap per-batch agreement; full compare at trial end.
-				if p.sys[0].M.CPU != p.sys[2].M.CPU || p.sys[1].M.CPU != p.sys[2].M.CPU {
-					p.compare(t, "batch")
-				}
+				p.compare(t, tag+"/final")
 			}
-			p.compare(t, ap.String()+"/final")
 		}
 	}
 }
@@ -294,7 +246,8 @@ func TestSuperblockDifferentialRunBatches(t *testing.T) {
 // TestDecodeCacheDifferentialSelfModifying pins the hardest staleness
 // case deliberately rather than probabilistically: the guest's own
 // stores land on top of upcoming instructions (a store to cs:ip+k),
-// so a stale cache entry would execute the overwritten instruction.
+// so a stale predecoded block would execute the overwritten
+// instruction.
 func TestDecodeCacheDifferentialSelfModifying(t *testing.T) {
 	p := newDiffPair(t, ApproachBaseline)
 	rng := rand.New(rand.NewSource(4242))
@@ -302,17 +255,15 @@ func TestDecodeCacheDifferentialSelfModifying(t *testing.T) {
 	for i := 0; i < 30000; i++ {
 		if i%7 == 0 {
 			// Overwrite a byte right around the current instruction
-			// stream of the cached machine.
-			lin := (uint32(p.fast.M.CPU.S[isa.CS])<<4 + uint32(p.fast.M.CPU.IP) + uint32(rng.Intn(8))) & mem.AddrMask
+			// stream.
+			m := p.sys[0].M
+			lin := (uint32(m.CPU.S[isa.CS])<<4 + uint32(m.CPU.IP) + uint32(rng.Intn(8))) & mem.AddrMask
 			p.pokeBoth(lin, byte(rng.Intn(256)))
 		}
 		if i%13 == 0 {
 			p.pokeBoth(code+uint32(rng.Intn(256)), byte(rng.Intn(256)))
 		}
-		evF, evS := p.fast.M.Step(), p.slow.M.Step()
-		if evF != evS {
-			t.Fatalf("step %d: event diverged: cached=%v uncached=%v", i, evF, evS)
-		}
+		p.stepSame(t, "self-modifying", i)
 	}
 	p.compare(t, "self-modifying/final")
 }

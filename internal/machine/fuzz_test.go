@@ -63,22 +63,37 @@ func TestRandomProgramsNeverWedgeTheStepper(t *testing.T) {
 	}
 }
 
-// FuzzDecodeCacheDifferential drives a cached and an uncached machine
-// in lockstep from a fuzz-chosen byte program: interleaved guest steps,
-// direct bus stores, PokeRAM fault injections and CPU corruptions, all
-// applied identically to both. The decode cache must never serve a
-// stale instruction, so the two machines must agree on every event and
-// end bit-identical.
-func FuzzDecodeCacheDifferential(f *testing.F) {
+// FuzzSuperblockDifferential drives the superblock engine and the
+// reference interpreter through the same fuzz-chosen schedule of
+// stores, corruptions, AfterStep hooks and steps, applied identically
+// to both. Batches go through Run in fuzz-chosen sizes — the turbo
+// lane, block chaining and bails — so cursors are left mid-block across
+// mutations; single Steps compare events on every step; an installed
+// hook routes steps through the full skeleton and, at a fuzz-chosen
+// step, pokes the code region and/or rewrites IP from inside the step
+// loop. No engine may ever serve a stale instruction, so the two
+// machines must agree on every event and end bit-identical.
+func FuzzSuperblockDifferential(f *testing.F) {
 	// Seeds: plain stepping, self-modifying stosb soup, store-then-step
-	// interleavings, and fault-heavy schedules.
+	// interleavings, fault-heavy schedules, and hook pokes and IP
+	// rewrites fired between single steps and mid-batch.
 	f.Add([]byte{1, 40, 1, 40})
 	f.Add([]byte{0, 0x10, 0x02, byte(isa.OpHlt), 1, 8, 0, 0x11, 0x02, byte(isa.OpStosb), 1, 8})
 	f.Add([]byte{2, 0x00, 0x10, 1, 20, 3, 0x34, 0x12, 1, 20, 4, 1, 20, 6, 1, 20})
 	f.Add(bytes.Repeat([]byte{0, 0xAB, 0x05, 0x62, 1, 3}, 24))
+	f.Add([]byte{8, 2, 0x03, 0x00, byte(isa.OpHlt), 0, 7, 6, 1, 40})
+	f.Add(bytes.Repeat([]byte{8, 5, 0x20, 0x01, 0x62, 2, 1, 30, 7, 3}, 8))
+	f.Add(bytes.Repeat([]byte{8, 3, 0x02, 0x00, byte(isa.OpHlt), 6, 7, 9, 6, 1}, 12))
+	// Eight nops at the reset ip, then a hook that pokes hlt over the
+	// fourth while single Steps retire the block through sbExec.
+	nops := make([]byte, 0, 48)
+	for i := byte(0); i < 8; i++ {
+		nops = append(nops, 0, i, 0x00, byte(isa.OpNop))
+	}
+	f.Add(append(nops, 8, 2, 0x03, 0x00, byte(isa.OpHlt), 0, 7, 15))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fast, slow := newDiffMachines(t, Options{
+		pair := newPairMachines(t, Options{
 			ResetVector:     SegOff{0x0100, 0},
 			NMICounter:      true,
 			ExceptionPolicy: ExceptionVector,
@@ -88,100 +103,9 @@ func FuzzDecodeCacheDifferential(f *testing.F) {
 		// inputs still execute something.
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 1024; i++ {
-			v := byte(rng.Intn(256))
-			fast.Bus.PokeRAM(0x1000+uint32(i), v)
-			slow.Bus.PokeRAM(0x1000+uint32(i), v)
-		}
-
-		pop := func() (byte, bool) {
-			if len(data) == 0 {
-				return 0, false
-			}
-			b := data[0]
-			data = data[1:]
-			return b, true
-		}
-		steps := 0
-		for steps < 50000 {
-			op, ok := pop()
-			if !ok {
-				break
-			}
-			switch op % 7 {
-			case 0: // poke a byte near the code region (fault injection)
-				lo, _ := pop()
-				hi, _ := pop()
-				v, _ := pop()
-				addr := 0x1000 + (uint32(hi)<<8|uint32(lo))&0x0FFF
-				fast.Bus.PokeRAM(addr, v)
-				slow.Bus.PokeRAM(addr, v)
-			case 1: // run a batch of steps, comparing events each step
-				n, _ := pop()
-				for i := 0; i < int(n%64)+1; i++ {
-					stepBoth(t, fast, slow, "fuzz")
-					steps++
-				}
-			case 2: // corrupt IP
-				lo, _ := pop()
-				hi, _ := pop()
-				v := uint16(hi)<<8 | uint16(lo)
-				fast.CPU.IP, slow.CPU.IP = v, v
-			case 3: // corrupt a register bank entry
-				r, _ := pop()
-				lo, _ := pop()
-				v := uint16(lo) | uint16(r)<<8
-				i := isa.Reg(r) % isa.NumRegs
-				fast.CPU.R[i], slow.CPU.R[i] = v, v
-			case 4: // raise NMI on both
-				fast.RaiseNMI()
-				slow.RaiseNMI()
-			case 5: // direct word store via the bus (DMA-style)
-				lo, _ := pop()
-				hi, _ := pop()
-				v, _ := pop()
-				addr := 0x1000 + (uint32(hi)<<8|uint32(lo))&0x0FFF
-				fast.Bus.StoreWord(addr, uint16(v)|uint16(v)<<8)
-				slow.Bus.StoreWord(addr, uint16(v)|uint16(v)<<8)
-			case 6: // toggle halt latch
-				v, _ := pop()
-				h := v%2 == 0
-				fast.CPU.Halted, slow.CPU.Halted = h, h
-			}
-		}
-		// Drain: a final burst so late mutations get executed.
-		for i := 0; i < 256; i++ {
-			stepBoth(t, fast, slow, "fuzz drain")
-		}
-		compareMachines(t, fast, slow, "fuzz final")
-	})
-}
-
-// FuzzSuperblockDifferential extends FuzzDecodeCacheDifferential to the
-// full engine stack: superblock, predecode-only and reference machines
-// run the same fuzz-chosen schedule of stores, corruptions and step
-// batches. Batches go through Run — the only path that exercises the
-// batched loop, the turbo lane and block chaining — in fuzz-chosen
-// sizes, so cursors are left mid-block across mutations. Seeded from
-// the decode-cache target's corpus so every staleness schedule that
-// ever mattered there is replayed against the block engine too.
-func FuzzSuperblockDifferential(f *testing.F) {
-	f.Add([]byte{1, 40, 1, 40})
-	f.Add([]byte{0, 0x10, 0x02, byte(isa.OpHlt), 1, 8, 0, 0x11, 0x02, byte(isa.OpStosb), 1, 8})
-	f.Add([]byte{2, 0x00, 0x10, 1, 20, 3, 0x34, 0x12, 1, 20, 4, 1, 20, 6, 1, 20})
-	f.Add(bytes.Repeat([]byte{0, 0xAB, 0x05, 0x62, 1, 3}, 24))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tri := newTriMachines(t, Options{
-			ResetVector:     SegOff{0x0100, 0},
-			NMICounter:      true,
-			ExceptionPolicy: ExceptionVector,
-			ExceptionVector: SegOff{0xF000, 0},
-		})
-		rng := rand.New(rand.NewSource(1))
-		for i := 0; i < 1024; i++ {
 			a := 0x1000 + uint32(i)
 			v := byte(rng.Intn(256))
-			triDo(tri, func(m *Machine) { m.Bus.PokeRAM(a, v) })
+			pairDo(pair, func(m *Machine) { m.Bus.PokeRAM(a, v) })
 		}
 
 		pop := func() (byte, bool) {
@@ -198,47 +122,84 @@ func FuzzSuperblockDifferential(f *testing.F) {
 			if !ok {
 				break
 			}
-			switch op % 7 {
+			switch op % 9 {
 			case 0: // poke a byte near the code region (fault injection)
 				lo, _ := pop()
 				hi, _ := pop()
 				v, _ := pop()
 				addr := 0x1000 + (uint32(hi)<<8|uint32(lo))&0x0FFF
-				triDo(tri, func(m *Machine) { m.Bus.PokeRAM(addr, v) })
+				pairDo(pair, func(m *Machine) { m.Bus.PokeRAM(addr, v) })
 			case 1: // run a batch, comparing state at the boundary
 				n, _ := pop()
 				k := int(n%64) + 1
-				triDo(tri, func(m *Machine) { m.Run(k) })
+				pairDo(pair, func(m *Machine) { m.Run(k) })
 				steps += k
-				compareTriCPU(t, tri, "fuzz batch")
+				comparePairCPU(t, pair, "fuzz batch")
 			case 2: // corrupt IP
 				lo, _ := pop()
 				hi, _ := pop()
 				v := uint16(hi)<<8 | uint16(lo)
-				triDo(tri, func(m *Machine) { m.CPU.IP = v })
+				pairDo(pair, func(m *Machine) { m.CPU.IP = v })
 			case 3: // corrupt a register bank entry
 				reg, _ := pop()
 				lo, _ := pop()
 				v := uint16(lo) | uint16(reg)<<8
 				i := isa.Reg(reg) % isa.NumRegs
-				triDo(tri, func(m *Machine) { m.CPU.R[i] = v })
-			case 4: // raise NMI on all
-				triDo(tri, func(m *Machine) { m.RaiseNMI() })
+				pairDo(pair, func(m *Machine) { m.CPU.R[i] = v })
+			case 4: // raise NMI on both
+				pairDo(pair, func(m *Machine) { m.RaiseNMI() })
 			case 5: // direct word store via the bus (DMA-style)
 				lo, _ := pop()
 				hi, _ := pop()
 				v, _ := pop()
 				addr := 0x1000 + (uint32(hi)<<8|uint32(lo))&0x0FFF
-				triDo(tri, func(m *Machine) { m.Bus.StoreWord(addr, uint16(v)|uint16(v)<<8) })
+				pairDo(pair, func(m *Machine) { m.Bus.StoreWord(addr, uint16(v)|uint16(v)<<8) })
 			case 6: // toggle halt latch
 				v, _ := pop()
 				h := v%2 == 0
-				triDo(tri, func(m *Machine) { m.CPU.Halted = h })
+				pairDo(pair, func(m *Machine) { m.CPU.Halted = h })
+			case 7: // single Steps, comparing events on every step
+				n, _ := pop()
+				for i := 0; i < int(n%64)+1; i++ {
+					stepPair(t, pair, "fuzz step")
+					steps++
+				}
+			case 8: // hook: after a fuzz-chosen number of steps, poke and/or rewrite IP once
+				after, _ := pop()
+				lo, _ := pop()
+				hi, _ := pop()
+				v, _ := pop()
+				mode, _ := pop()
+				off := uint32(hi)<<8 | uint32(lo)
+				ip := uint16(off)
+				pairDo(pair, func(m *Machine) {
+					left := int(after % 64)
+					m.AfterStep = func(m *Machine, _ Event) {
+						if left--; left != -1 {
+							return // not due yet, or fired already (inert)
+						}
+						if mode%3 != 1 {
+							// mode&4: aim just ahead of the live ip, into the
+							// block being executed.
+							o := off
+							if mode&4 != 0 {
+								o = uint32(m.CPU.IP) + off%16
+							}
+							m.Bus.PokeRAM(0x1000+o&0x0FFF, v)
+						}
+						if mode%3 != 0 {
+							m.CPU.IP = ip
+						}
+						if mode&8 != 0 {
+							m.AfterStep = nil // detach: later steps may take the turbo lane
+						}
+					}
+				})
 			}
 		}
 		// Drain: a final burst so late mutations get executed.
-		triDo(tri, func(m *Machine) { m.Run(256) })
-		compareTri(t, tri, "fuzz final")
+		pairDo(pair, func(m *Machine) { m.Run(256) })
+		comparePair(t, pair, "fuzz final")
 	})
 }
 

@@ -155,10 +155,10 @@ func (s Stats) Delta(prev Stats) Stats {
 }
 
 // Arch returns the architectural counters with the engine-telemetry
-// Block* counters zeroed. Differential suites comparing execution
-// engines (interpreter vs predecode vs superblock) must compare
-// Arch() values: the engines agree bit-for-bit on what the machine
-// did, not on which fast path did it.
+// Block* counters zeroed. Differential suites comparing the two
+// execution engines (reference interpreter vs superblocks) must
+// compare Arch() values: the engines agree bit-for-bit on what the
+// machine did, not on which fast path did it.
 func (s Stats) Arch() Stats {
 	s.Blocks, s.BlockInstrs, s.BlockBails = 0, 0, 0
 	return s
@@ -205,14 +205,11 @@ type Machine struct {
 	ports   []portBinding
 	tickers []Ticker
 
-	// dcache is the predecoded instruction cache (decodecache.go);
-	// nil when disabled via SetDecodeCache. pageGens is the bus's
-	// write-generation array, cached so a probe is two array loads.
-	// slowInst is the scratch slot uncached decodes land in, so the
-	// hot loop never allocates.
-	dcache   *[dcSize]dcEntry
+	// pageGens is the bus's write-generation array, cached so block
+	// validation is plain array loads. fetched is the scratch slot the
+	// byte-wise fetch decodes into, so the step loop never allocates.
 	pageGens *[mem.NumPages]uint64
-	slowInst isa.Inst
+	fetched  isa.Inst
 
 	// Superblock engine state (superblock.go): sblocks is the
 	// direct-mapped block table (nil when disabled via SetSuperblocks;
@@ -246,7 +243,6 @@ func New(bus *mem.Bus, opts Options) *Machine {
 	m := &Machine{
 		Bus:      bus,
 		Opts:     opts,
-		dcache:   new([dcSize]dcEntry),
 		pageGens: bus.PageGens(),
 		sblocks:  new([sbSize]*superblock),
 		busStamp: bus.WriteStamp(),

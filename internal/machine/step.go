@@ -14,58 +14,81 @@ import (
 // function of the current configuration and the external inputs at the
 // clock tick. Step is total: it is well-defined from ANY configuration,
 // including corrupted ones, which is what makes the machine a valid
-// substrate for self-stabilization experiments.
-//
-//ssos:hotpath
-func (m *Machine) Step() Event {
-	m.Stats.Steps++
-	for _, t := range m.tickers {
-		t.Tick(m)
-	}
+// substrate for self-stabilization experiments. It is the one-step
+// case of Run: both go through the same loop.
+func (m *Machine) Step() Event { return m.run(1) }
 
-	// The processor's unit of work, open-coded here (rather than a
-	// stepCPU helper) to keep the per-step call chain short: one
-	// compare rules out all three external pins; stepPins handles the
-	// rare latched cases.
-	var ev Event
-	handled := false
-	if m.pins != 0 {
-		ev, handled = m.stepPins()
-	}
-	if !handled {
-		if m.CPU.Halted {
-			m.Stats.HaltTicks++
-			ev = EventHalted
-		} else {
-			ev = m.execute()
-		}
-	}
-
-	// The paper's NMI-counter hardware: decremented on every clock
-	// tick until it reaches zero, except on the tick that loaded it
-	// (NMI delivery), so the handler gets its full budget.
-	if m.Opts.NMICounter && ev != EventNMI && m.CPU.NMICounter > 0 {
-		m.CPU.NMICounter--
-	}
-
-	if m.AfterStep != nil {
-		m.AfterStep(m, ev)
-	}
-	return ev
+// Run executes n steps and returns the machine for chaining. It is
+// exactly n calls of Step.
+func (m *Machine) Run(n int) *Machine {
+	m.run(n)
+	return m
 }
 
-// Run executes n steps and returns the machine for chaining.
+// run is the machine's only step loop: n iterations of the step
+// skeleton — Stats.Steps, device ticks, pin checks, halt ticks, the
+// instruction slot, the NMI-counter decrement and the trailing
+// AfterStep call — returning the last step's event. The instruction
+// slot is served by the superblock engine (sbExec) when it is on and
+// by the reference interpreter (execute) when it is off.
 //
-// With the superblock engine enabled and no AfterStep hook installed,
-// steps run through the batched loop (superblock.go), which is
-// semantically identical to calling Step n times — the fallback the
-// loop takes per-step whenever a hook appears (fault-injection windows,
-// monitors) or the engine is disabled. Both conditions are re-checked
-// every iteration, so a ticker or port device that installs a hook or
-// flips the engine mid-run is honoured from the very next step.
-func (m *Machine) Run(n int) *Machine {
-	m.runBatched(n)
-	return m
+// While the skeleton provably has no work besides the instruction — no
+// AfterStep hook, no tickers, no latched pins, not halted — steps
+// retire through the engine's turbo lane (sbTurbo), which chains block
+// to block and re-checks those conditions at every block boundary, the
+// only place an instruction can change them (port I/O, hlt and int are
+// serialize points, hence block-final). Every condition is a live
+// machine field re-read per iteration, so a hook, ticker or engine
+// switch installed mid-run is honoured from the very next step.
+//
+//ssos:hotpath
+func (m *Machine) run(n int) Event {
+	var ev Event
+	for done := 0; done < n; done++ {
+		if m.AfterStep == nil && m.pins == 0 && !m.CPU.Halted && len(m.tickers) == 0 {
+			if b := m.sbCur; b != nil {
+				if done, ev = m.sbTurbo(b, done, n); done >= n {
+					return ev
+				}
+			}
+		}
+		m.Stats.Steps++
+		for _, t := range m.tickers {
+			t.Tick(m)
+		}
+
+		// The processor's unit of work, open-coded here (rather than a
+		// stepCPU helper) to keep the per-step call chain short: one
+		// compare rules out all three external pins; stepPins handles
+		// the rare latched cases.
+		handled := false
+		if m.pins != 0 {
+			ev, handled = m.stepPins()
+		}
+		if !handled {
+			switch {
+			case m.CPU.Halted:
+				m.Stats.HaltTicks++
+				ev = EventHalted
+			case m.sblocks != nil:
+				ev = m.sbExec()
+			default:
+				ev = m.execute()
+			}
+		}
+
+		// The paper's NMI-counter hardware: decremented on every clock
+		// tick until it reaches zero, except on the tick that loaded it
+		// (NMI delivery), so the handler gets its full budget.
+		if m.Opts.NMICounter && ev != EventNMI && m.CPU.NMICounter > 0 {
+			m.CPU.NMICounter--
+		}
+
+		if m.AfterStep != nil {
+			m.AfterStep(m, ev)
+		}
+	}
+	return ev
 }
 
 // RunUntil steps the machine until pred returns true or limit steps

@@ -8,31 +8,29 @@ import (
 // The superblock engine: batch-validated, threaded dispatch for the
 // step loop.
 //
-// The predecode cache (decodecache.go) removed decode cost but still
-// pays a cache probe and two page-generation compares per instruction,
-// plus the big execute switch. This layer chains predecoded entries
-// into superblocks — straight-line runs ending at a serialize point
-// (branch/jump/call/ret, int/iret, hlt, port I/O, rep movsb, a write
-// to cs; see isa.Serializing) — records the set of distinct
-// mem.PageSize-byte pages the run's bytes span, validates all their
-// write-generations once on block entry, and then executes the run by
-// calling one function pointer per entry, never re-probing the decode
-// cache in between.
+// The reference interpreter (execute) fetches and decodes the bytes at
+// cs:ip on every step. This engine decodes straight-line runs once
+// into superblocks — runs ending at a serialize point (branch/jump/
+// call/ret, int/iret, hlt, port I/O, rep movsb, a write to cs; see
+// isa.Serializing) — records the set of distinct mem.PageSize-byte
+// pages the run's bytes span, validates all their write-generations
+// once on block entry, and then executes the run by calling each
+// entry's opFn (the same ops table entry the interpreter would
+// dispatch to) with its precomputed nextIP.
 //
 // Soundness from ANY configuration is non-negotiable, so a block is a
 // transparent batching of N interpreter steps, not a new semantics:
 //
-//   - Per-step skeleton: Run's batched loop performs exactly Step's
-//     sequence — Stats.Steps, device ticks, pin checks, halt ticks,
-//     NMI-counter decrement, the trailing AfterStep check — with only
-//     the instruction-execution slot served by the block engine. The
-//     turbo lane (sbTurbo) elides skeleton checks that are provably
-//     dead — no tickers registered, no pins latched, not halted — and
-//     re-establishes them at every block boundary, the only place the
-//     executors themselves can violate them (port I/O, hlt and int are
-//     serialize points, hence always block-final). Interrupts, resets
-//     and halts therefore preempt a block between any two entries,
-//     exactly as they preempt the interpreter between any two steps.
+//   - Per-step skeleton: run (step.go) performs the whole step
+//     skeleton for every step, with only the instruction slot served
+//     by the engine (sbExec). Its turbo lane (sbTurbo) elides the
+//     skeleton checks that are provably dead — no AfterStep hook, no
+//     tickers registered, no pins latched, not halted — and
+//     re-establishes them at every block boundary, the only place an
+//     instruction can violate them (port I/O, hlt and int are
+//     serialize points, hence always block-final). Interrupts, resets,
+//     halts, device ticks and hooks therefore act between any two
+//     entries, exactly as they act between any two interpreter steps.
 //   - Per-entry validation: before an entry runs, the engine checks
 //     that the live cs:ip still addresses that entry. The check is
 //     (e.ip == c.IP && e.lin == linear(cs, ip)): since cs<<4 ≡ lin−ip
@@ -40,30 +38,33 @@ import (
 //     passing check proves the entry's predecoded bytes and
 //     precomputed nextIP describe precisely the instruction the
 //     interpreter would fetch. Any divergence — an exception taken by
-//     the previous entry, a ticker or device corrupting registers, an
-//     adopted snapshot — fails the compare and bails.
-//   - Staleness: the bus write stamp (mem.Bus.WriteStamp) advances on
-//     every memory mutation anywhere. While the stamp is unchanged
-//     since the block's last validation, the block's bytes are
-//     provably unwritten and entries run with zero generation checks;
-//     when it moved (a guest store, a fault injection, a snapshot
-//     restore), the engine re-checks the block's span pages against
-//     their build-time generations and bails on any mismatch. A store
-//     into the current block's own span — self-modifying code — is
-//     therefore caught before the next entry runs, and execution
-//     resumes in the interpreter on the freshly written bytes.
-//   - Fault windows and monitors install Machine.AfterStep; the
-//     batched loop falls back to plain Step for as long as one is
-//     installed, so injection timing is bit-identical. A non-nil Probe
-//     does NOT force the fallback: probes are consulted only inside
-//     stepPins and raiseException, which the batched loop and the
-//     fallback share, so instrumented sessions still run blocks (and
-//     their block telemetry means something).
+//     the previous entry, a ticker, hook or device corrupting
+//     registers, an adopted snapshot — fails the compare and bails.
+//   - Staleness: every path that alters memory — executed stores, test
+//     Pokes, fault-injection PokeRAMs, snapshot Restores — bumps the
+//     write-generation of the pages it touches and the bus write stamp
+//     (mem.Bus.WriteStamp). While the stamp is unchanged since the
+//     block's last validation, the block's bytes are provably unwritten
+//     and entries run with zero generation checks; when it moved, the
+//     engine re-checks the block's span pages against their build-time
+//     generations and bails on any mismatch. There is no "flush"
+//     anyone could forget to call: staleness is detected, not
+//     prevented. A store into the current block's own span —
+//     self-modifying code, or an AfterStep hook poking the code stream
+//     — is therefore caught before the next entry runs, and the block
+//     is rebuilt from the freshly written bytes.
+//   - Spans: a decoded entry's span is its instruction's bytes; a
+//     negative block (the head byte does not decode) spans exactly the
+//     bytes the verdict depends on, max(isa.InstLen(b0), 1), per the
+//     isa.InstLen cacheability contract, and raises the invalid-opcode
+//     exception directly while it validates.
 //
-// Bailing is cheap and always available, so every rare case — wrap-
-// adjacent fetches, undecodable heads, page-budget overflows — simply
-// falls back to the interpreter, which remains the single source of
-// truth for semantics.
+// Blocks are built only where neither the 16-bit segment offset nor
+// the 20-bit linear range of a maximal instruction wraps; a
+// wrap-adjacent head runs one interpreter step (execute), whose
+// byte-wise fetch is the reference for wrap-around semantics. The
+// interpreter remains the single source of truth for everything the
+// engine does not batch.
 
 const (
 	// sbBits sizes the direct-mapped block table. Block heads are
@@ -85,14 +86,9 @@ const (
 	sbMaxPages = 4
 )
 
-// sbFn executes one predecoded entry. The contract mirrors one
-// exec1 dispatch: c.IP addresses the entry's first byte on call, and
-// the fn leaves the machine exactly as exec1(&e.inst, e.nextIP) would.
-type sbFn func(m *Machine, e *sbEntry) Event
-
 // sbEntry is one instruction inside a superblock.
 type sbEntry struct {
-	fn     sbFn
+	fn     opFn   // ops[inst.Op]
 	lin    uint32 // linear address of the instruction's first byte
 	ip     uint16 // cs-relative offset of the first byte
 	nextIP uint16 // sequential successor (ip+size)
@@ -102,8 +98,8 @@ type sbEntry struct {
 // superblock is a straight-line run of predecoded instructions plus
 // the page-generation evidence that its backing bytes are unchanged.
 // n == 0 marks a negative block: the head byte is known not to decode
-// (generation-validated like any entry), so entry falls straight to
-// the interpreter's exception path without re-attempting a build.
+// (generation-validated like any entry), so entry raises the
+// invalid-opcode exception without re-attempting a build.
 type superblock struct {
 	lin    uint32
 	ip     uint16
@@ -123,10 +119,10 @@ type superblock struct {
 }
 
 // SetSuperblocks enables or disables the superblock engine. On by
-// default; behaviour must be bit-identical either way — the three-way
-// differential suites hold the engines against each other — so this
-// exists for those tests and for A/B benchmarking. Disabling the
-// decode cache (SetDecodeCache(false)) disables superblocks too.
+// default; off leaves the reference interpreter. Behaviour must be
+// bit-identical either way — the differential suites and fuzzer hold
+// the two engines against each other — so this exists for those tests
+// and for A/B benchmarking, not for correctness control.
 func (m *Machine) SetSuperblocks(on bool) {
 	if on {
 		if m.sblocks == nil {
@@ -138,101 +134,35 @@ func (m *Machine) SetSuperblocks(on bool) {
 	}
 }
 
-// runBatched is Run's loop body: one Step-equivalent iteration per
-// step, with the instruction-execution slot served by the superblock
-// engine and its per-entry fast path inlined (the engine's whole win is
-// one short dependent chain per instruction — compare ip, recompute
-// lin, compare the write stamp, call the entry's function — so it must
-// not hide behind further call frames). Every other line of an
-// iteration mirrors Step exactly — the two must be kept in lockstep,
-// which the three-way differential suites enforce.
-//
-// The fallback conditions (AfterStep installed, engine disabled) are
-// live machine fields re-read every iteration, so hooks installed
-// mid-run by tickers or port devices take effect on the very next step.
-//
-//ssos:hotpath
-func (m *Machine) runBatched(n int) {
-	for done := 0; done < n; done++ {
-		if m.AfterStep != nil || m.sblocks == nil {
-			m.Step()
-			continue
-		}
-		// Turbo lane: while the step skeleton provably has no work — no
-		// devices to tick, no latched pins, not halted, no AfterStep —
-		// consecutive block entries retire in a tight loop that chains
-		// block to block. The preconditions hold between boundaries
-		// because the only executors that can tick devices, latch pins,
-		// halt or install hooks (port I/O, hlt, int) are serialize
-		// points, hence always block-final; sbTurbo re-checks them at
-		// each boundary and exits on any violation.
-		if m.pins == 0 && !m.CPU.Halted && len(m.tickers) == 0 {
-			if b := m.sbCur; b != nil {
-				done = m.sbTurbo(b, done, n)
-				if done >= n {
-					return
-				}
-			}
-		}
-		// One full Step-equivalent iteration, with the
-		// instruction-execution slot served by the engine. Mirrors Step
-		// line for line — the two must be kept in lockstep, which the
-		// three-way differential suites enforce.
-		m.Stats.Steps++
-		if len(m.tickers) != 0 {
-			for _, t := range m.tickers {
-				t.Tick(m)
-			}
-		}
-		var ev Event
-		handled := false
-		if m.pins != 0 {
-			ev, handled = m.stepPins()
-		}
-		if !handled {
-			if m.CPU.Halted {
-				m.Stats.HaltTicks++
-				ev = EventHalted
-			} else {
-				ev = m.sbExec()
-			}
-		}
-		if m.Opts.NMICounter && ev != EventNMI && m.CPU.NMICounter > 0 {
-			m.CPU.NMICounter--
-		}
-		if m.AfterStep != nil {
-			m.AfterStep(m, ev)
-		}
-	}
-}
-
 // sbTurbo retires consecutive entries of the current block b, one per
 // step, starting at step index done and stopping at n. Preconditions
-// (established by runBatched, invariant between block boundaries):
+// (established by run, invariant between block boundaries):
 // AfterStep nil, no tickers, no latched pins, not halted. Each
 // iteration performs exactly one Step: Stats.Steps, the per-entry
-// validation, the entry's executor, the NMI-counter decrement, and the
+// validation, the entry's opFn, the NMI-counter decrement, and the
 // trailing AfterStep check; the skeleton's remaining checks are dead
 // under the preconditions.
 //
 // At a block boundary (the block exhausted), the loop keeps going
-// without dropping out: the only executors with skeleton-visible side
+// without dropping out: the only instructions with skeleton-visible side
 // effects — port I/O ticking a device that latches a pin or installs a
 // ticker, hlt, int — are serialize points and hence block-final, so the
 // preconditions are re-checked exactly there, and then control chains
 // to the successor block: the block itself for a loop back-edge, the
 // cached succ hint, or a table probe. Every chained entry revalidates
 // (lin, ip) and span freshness just as sbEnter would; only an unbuilt,
-// stale or negative successor drops to runBatched's full path, which
-// rebuilds via sbEnter. Returns the number of steps done.
-func (m *Machine) sbTurbo(b *superblock, done, n int) int {
+// stale or negative successor drops to run's full skeleton, which
+// rebuilds via sbEnter. Returns the number of steps done and the last
+// retired step's event (meaningful only if at least one step retired).
+func (m *Machine) sbTurbo(b *superblock, done, n int) (int, Event) {
 	c := &m.CPU
 	i := m.sbIdx
+	var ev Event
 	for done < n {
 		entered := false
 		if i >= len(b.ins) {
 			// Block boundary: re-establish the skeleton preconditions
-			// that a block-final executor may have violated, then chain.
+			// that a block-final instruction may have violated, then chain.
 			if m.pins != 0 || c.Halted || len(m.tickers) != 0 || m.sblocks == nil {
 				break
 			}
@@ -271,8 +201,8 @@ func (m *Machine) sbTurbo(b *superblock, done, n int) int {
 		}
 		// Continuation run. After a validated entry completes with
 		// EventInstr, the (lin, ip) compare is provably redundant for
-		// the next entry: a non-final executor's only normal exit sets
-		// IP = nextIP (the exec1 contract), which the builder laid out
+		// the next entry: a non-final entry's only normal exit sets
+		// IP = nextIP (the opFn contract), which the builder laid out
 		// as the next entry's ip; branches and cs writes are block-
 		// final; and under the turbo preconditions nothing else runs
 		// between entries. Only the write stamp — self-modifying
@@ -280,10 +210,10 @@ func (m *Machine) sbTurbo(b *superblock, done, n int) int {
 		for {
 			m.Stats.Steps++
 			m.Stats.BlockInstrs++
-			ev := e.fn(m, e)
+			ev = e.fn(m, &e.inst, e.nextIP)
 			i++
 			done++
-			// ev is never EventNMI here (executors return EventInstr or
+			// ev is never EventNMI here (opFns return EventInstr or
 			// an exception), so Step's "except on the delivering tick"
 			// guard is vacuously true.
 			if m.Opts.NMICounter && c.NMICounter > 0 {
@@ -295,12 +225,12 @@ func (m *Machine) sbTurbo(b *superblock, done, n int) int {
 				// already.
 				m.AfterStep(m, ev)
 				m.sbIdx = i
-				return done
+				return done, ev
 			}
 			if ev != EventInstr {
 				// Exception: full-path checks (halt, diverged pc) next step.
 				m.sbIdx = i
-				return done
+				return done, ev
 			}
 			if done >= n || i >= len(b.ins) {
 				break // budget or boundary: the outer loop handles both
@@ -310,20 +240,23 @@ func (m *Machine) sbTurbo(b *superblock, done, n int) int {
 				m.Stats.BlockBails++
 				m.sbCur = nil
 				m.sbIdx = i
-				return done
+				return done, ev
 			}
 		}
 	}
 	m.sbIdx = i
-	return done
+	return done, ev
 }
 
-// sbExec executes one instruction through the engine: the current
+// sbExec is run's instruction slot when the engine is on: the current
 // block's next entry if it provably matches the live configuration,
 // else a freshly entered (or rebuilt) block at cs:ip, else one
-// interpreter instruction. This is the out-of-line twin of the inlined
-// fast path in runBatched, kept for tests that drive the engine one
-// step at a time.
+// interpreter instruction. It serves every step the turbo lane cannot:
+// steps with tickers registered, an AfterStep hook installed (fault
+// windows, monitors, samplers), pins latched, the first step after a
+// halt or a turbo bail. The full per-entry (lin, ip, write
+// stamp) check makes whatever a ticker, device or hook mutated between
+// steps visible before the next entry runs.
 func (m *Machine) sbExec() Event {
 	if b := m.sbCur; b != nil {
 		i := m.sbIdx
@@ -335,7 +268,7 @@ func (m *Machine) sbExec() Event {
 				(*m.busStamp == m.sbStamp || m.sbRevalidate(b)) {
 				m.sbIdx = i + 1
 				m.Stats.BlockInstrs++
-				return e.fn(m, e)
+				return e.fn(m, &e.inst, e.nextIP)
 			}
 			m.Stats.BlockBails++
 		}
@@ -385,8 +318,9 @@ func (m *Machine) sbLookup(lin uint32, ip uint16) *superblock {
 
 // sbEnter looks up (or builds) the superblock headed at cs:ip,
 // validates its span, and executes its first entry. Wrap-adjacent
-// configurations fall back to the interpreter's byte-wise path, and
-// negative blocks to its exception path.
+// configurations run one interpreter step (the byte-wise fetch), and
+// a negative block raises the invalid-opcode exception, exactly as the
+// interpreter's failed decode of the same bytes would.
 func (m *Machine) sbEnter() Event {
 	c := &m.CPU
 	ip := c.IP
@@ -401,7 +335,7 @@ func (m *Machine) sbEnter() Event {
 		m.sblocks[idx] = b
 	}
 	if b.n == 0 {
-		return m.execute()
+		return m.raiseException(VecInvalidOpcode)
 	}
 	m.sbCur = b
 	m.sbIdx = 1
@@ -409,7 +343,7 @@ func (m *Machine) sbEnter() Event {
 	m.Stats.Blocks++
 	m.Stats.BlockInstrs++
 	e := &b.ins[0]
-	return e.fn(m, e)
+	return e.fn(m, &e.inst, e.nextIP)
 }
 
 // sbBuild (re)builds the superblock headed at lin (== linear(cs, ip)),
@@ -446,7 +380,7 @@ func (m *Machine) sbBuild(b *superblock, lin uint32, ip uint16) *superblock {
 			break // page budget exhausted; end the block before this instruction
 		}
 		b.ins = append(b.ins, sbEntry{
-			fn:     sbFnFor(in.Op),
+			fn:     ops[in.Op],
 			lin:    lin,
 			ip:     ip,
 			nextIP: ip + uint16(size),
@@ -506,440 +440,4 @@ func sbEndsBlock(in *isa.Inst) bool {
 		return isa.SReg(in.R1) == isa.CS
 	}
 	return false
-}
-
-// --- threaded dispatch -------------------------------------------------
-//
-// Every entry carries a func pointer. The hottest opcodes get dedicated
-// executors that skip the exec1 switch entirely; everything else runs
-// through sbGeneric, which IS exec1 — so a specialized fn can only
-// diverge from the interpreter by its own body, each of which mirrors
-// one exec1 case line for line.
-
-var sbFns [256]sbFn
-
-func sbFnFor(op isa.Op) sbFn {
-	if f := sbFns[op]; f != nil {
-		return f
-	}
-	return sbGeneric
-}
-
-// The dispatch table init is a noalloc root: runBatched/sbExec reach
-// the executors only through sbEntry.fn (a func value, outside the
-// static call graph), so rooting the table population here pulls every
-// executor into the hot closure.
-//
-//ssos:hotpath
-func init() {
-	sbFns[isa.OpNop] = sbNop
-	sbFns[isa.OpMovRI] = sbMovRI
-	sbFns[isa.OpMovRR] = sbMovRR
-	sbFns[isa.OpMovSR] = sbMovSR
-	sbFns[isa.OpMovRS] = sbMovRS
-	sbFns[isa.OpMovRM] = sbMovRM
-	sbFns[isa.OpMovMR] = sbMovMR
-	sbFns[isa.OpMovMI] = sbMovMI
-	sbFns[isa.OpMovSM] = sbMovSM
-	sbFns[isa.OpMovMS] = sbMovMS
-	sbFns[isa.OpAddRR] = sbAddRR
-	sbFns[isa.OpAddRI] = sbAddRI
-	sbFns[isa.OpAddRM] = sbAddRM
-	sbFns[isa.OpSubRR] = sbSubRR
-	sbFns[isa.OpSubRI] = sbSubRI
-	sbFns[isa.OpIncR] = sbIncR
-	sbFns[isa.OpDecR] = sbDecR
-	sbFns[isa.OpAndRR] = sbAndRR
-	sbFns[isa.OpAndRI] = sbAndRI
-	sbFns[isa.OpOrRR] = sbOrRR
-	sbFns[isa.OpOrRI] = sbOrRI
-	sbFns[isa.OpXorRR] = sbXorRR
-	sbFns[isa.OpCmpRR] = sbCmpRR
-	sbFns[isa.OpCmpRI] = sbCmpRI
-	sbFns[isa.OpCmpRM] = sbCmpRM
-	sbFns[isa.OpShlRI] = sbShlRI
-	sbFns[isa.OpShrRI] = sbShrRI
-	sbFns[isa.OpPushR] = sbPushR
-	sbFns[isa.OpPopR] = sbPopR
-	sbFns[isa.OpStosb] = sbStosb
-	sbFns[isa.OpLodsb] = sbLodsb
-	sbFns[isa.OpJmp] = sbJmp
-	sbFns[isa.OpJe] = sbJe
-	sbFns[isa.OpJne] = sbJne
-	sbFns[isa.OpJb] = sbJb
-	sbFns[isa.OpJbe] = sbJbe
-	sbFns[isa.OpJa] = sbJa
-	sbFns[isa.OpJae] = sbJae
-	sbFns[isa.OpLoop] = sbLoop
-	sbFns[isa.OpCall] = sbCall
-	sbFns[isa.OpRet] = sbRet
-}
-
-func sbGeneric(m *Machine, e *sbEntry) Event {
-	return m.exec1(&e.inst, e.nextIP)
-}
-
-func sbNop(m *Machine, e *sbEntry) Event {
-	m.CPU.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbMovRI(m *Machine, e *sbEntry) Event {
-	m.CPU.R[e.inst.R1] = e.inst.Imm
-	m.CPU.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbMovRR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = c.R[e.inst.R2]
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbMovSR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.S[e.inst.R1] = c.R[e.inst.R2]
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbMovRS(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = c.S[e.inst.R2]
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbMovSM(m *Machine, e *sbEntry) Event {
-	m.CPU.S[e.inst.R1] = m.loadMem(&e.inst)
-	m.CPU.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbMovMS(m *Machine, e *sbEntry) Event {
-	if !m.storeMem(&e.inst, m.CPU.S[e.inst.R1]) {
-		return m.raiseException(VecGP)
-	}
-	m.CPU.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbMovRM(m *Machine, e *sbEntry) Event {
-	m.CPU.R[e.inst.R1] = m.loadMem(&e.inst)
-	m.CPU.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbMovMR(m *Machine, e *sbEntry) Event {
-	if !m.storeMem(&e.inst, m.CPU.R[e.inst.R1]) {
-		return m.raiseException(VecGP)
-	}
-	m.CPU.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbMovMI(m *Machine, e *sbEntry) Event {
-	if !m.storeMem(&e.inst, e.inst.Imm) {
-		return m.raiseException(VecGP)
-	}
-	m.CPU.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbAddRR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.add16(c.R[e.inst.R1], c.R[e.inst.R2])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbAddRI(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.add16(c.R[e.inst.R1], e.inst.Imm)
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbAddRM(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.add16(c.R[e.inst.R1], m.loadMem(&e.inst))
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbSubRR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.sub16(c.R[e.inst.R1], c.R[e.inst.R2])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbSubRI(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.sub16(c.R[e.inst.R1], e.inst.Imm)
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbIncR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1]++
-	m.setZS(c.R[e.inst.R1])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbDecR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1]--
-	m.setZS(c.R[e.inst.R1])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbAndRR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.logic16(c.R[e.inst.R1] & c.R[e.inst.R2])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbAndRI(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.logic16(c.R[e.inst.R1] & e.inst.Imm)
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbOrRR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.logic16(c.R[e.inst.R1] | c.R[e.inst.R2])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbOrRI(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.logic16(c.R[e.inst.R1] | e.inst.Imm)
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbXorRR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.logic16(c.R[e.inst.R1] ^ c.R[e.inst.R2])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbShlRI(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	n := uint(e.inst.Imm) & 31
-	v := c.R[e.inst.R1]
-	if n > 0 && n <= 16 {
-		c.Flags = c.Flags.Set(isa.FlagCF, v>>(16-n)&1 != 0)
-	}
-	c.R[e.inst.R1] = m.logicKeepCF(v << n)
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbShrRI(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	n := uint(e.inst.Imm) & 31
-	v := c.R[e.inst.R1]
-	if n > 0 && n <= 16 {
-		c.Flags = c.Flags.Set(isa.FlagCF, v>>(n-1)&1 != 0)
-	}
-	c.R[e.inst.R1] = m.logicKeepCF(v >> n)
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbPushR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	if !m.pushGuarded(c.R[e.inst.R1]) {
-		c.R[isa.SP] += 2
-		return m.raiseException(VecGP)
-	}
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbPopR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.pop()
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbCmpRR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	m.sub16(c.R[e.inst.R1], c.R[e.inst.R2])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbCmpRI(m *Machine, e *sbEntry) Event {
-	m.sub16(m.CPU.R[e.inst.R1], e.inst.Imm)
-	m.CPU.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbCmpRM(m *Machine, e *sbEntry) Event {
-	m.sub16(m.CPU.R[e.inst.R1], m.loadMem(&e.inst))
-	m.CPU.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbStosb(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	dst := m.Linear(isa.ES, c.R[isa.DI])
-	if !m.storeAllowed(dst) || !m.Bus.StoreByte(dst, c.Reg8(isa.AL)) {
-		return m.raiseException(VecGP)
-	}
-	c.R[isa.DI] = m.stringAdvance(c.R[isa.DI])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbLodsb(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.SetReg8(isa.AL, m.Bus.LoadByte(m.Linear(isa.DS, c.R[isa.SI])))
-	c.R[isa.SI] = m.stringAdvance(c.R[isa.SI])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbJmp(m *Machine, e *sbEntry) Event {
-	m.CPU.IP = e.inst.Imm
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbJe(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	if c.Flags.Has(isa.FlagZF) {
-		c.IP = e.inst.Imm
-	} else {
-		c.IP = e.nextIP
-	}
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbJne(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	if !c.Flags.Has(isa.FlagZF) {
-		c.IP = e.inst.Imm
-	} else {
-		c.IP = e.nextIP
-	}
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbJb(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	if c.Flags.Has(isa.FlagCF) {
-		c.IP = e.inst.Imm
-	} else {
-		c.IP = e.nextIP
-	}
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbJbe(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	if c.Flags.Has(isa.FlagCF) || c.Flags.Has(isa.FlagZF) {
-		c.IP = e.inst.Imm
-	} else {
-		c.IP = e.nextIP
-	}
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbJa(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	if !c.Flags.Has(isa.FlagCF) && !c.Flags.Has(isa.FlagZF) {
-		c.IP = e.inst.Imm
-	} else {
-		c.IP = e.nextIP
-	}
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbJae(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	if !c.Flags.Has(isa.FlagCF) {
-		c.IP = e.inst.Imm
-	} else {
-		c.IP = e.nextIP
-	}
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbLoop(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[isa.CX]--
-	if c.R[isa.CX] != 0 {
-		c.IP = e.inst.Imm
-	} else {
-		c.IP = e.nextIP
-	}
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbCall(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	if !m.pushGuarded(e.nextIP) {
-		c.R[isa.SP] += 2
-		return m.raiseException(VecGP)
-	}
-	c.IP = e.inst.Imm
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbRet(m *Machine, e *sbEntry) Event {
-	m.CPU.IP = m.pop()
-	m.Stats.Instrs++
-	return EventInstr
 }

@@ -9,85 +9,88 @@ import (
 	"ssos/internal/mem"
 )
 
-// Three-way differential harness: the superblock engine, the
-// predecode-only configuration and the reference interpreter are driven
+// Two-engine differential harness: the superblock engine (the default)
+// and the reference interpreter (SetSuperblocks(false)) are driven
 // through identical schedules and must agree on every architectural
-// observable. Where the two-way decode-cache harness steps machines one
-// Step at a time, this one drives them through Run in uneven batches —
-// that is the only path that exercises the batched loop, the turbo
-// lane, block chaining and the bail paths.
+// observable. Run in uneven batches exercises the turbo lane, block
+// chaining and the bail paths; single Steps and AfterStep hooks
+// exercise the full skeleton through sbExec.
 
-// triLabels names the engines in newTriMachines order.
-var triLabels = [3]string{"superblock", "predecode", "interp"}
+// pairLabels names the engines in newPairMachines order.
+var pairLabels = [2]string{"superblock", "interp"}
 
-// newTriMachines builds three machines over identical buses: the full
-// engine stack (decode cache + superblocks, the default), predecode
-// only, and the reference interpreter.
-func newTriMachines(t testing.TB, opts Options) [3]*Machine {
+// newPairMachines builds two machines over identical buses — a small
+// ROM at the reset/NMI vector and otherwise empty RAM — with the same
+// options: the superblock engine and the reference interpreter.
+func newPairMachines(t testing.TB, opts Options) [2]*Machine {
 	t.Helper()
 	rom := []byte{byte(isa.OpJmp), 0, 0}
-	var tri [3]*Machine
-	for i := range tri {
+	var pair [2]*Machine
+	for i := range pair {
 		bus := mem.NewBus()
 		if _, err := bus.AddROM("rom", 0xF0000, rom); err != nil {
 			t.Fatal(err)
 		}
-		tri[i] = New(bus, opts)
+		pair[i] = New(bus, opts)
 	}
-	tri[1].SetSuperblocks(false)
-	tri[2].SetDecodeCache(false)
-	return tri
+	pair[1].SetSuperblocks(false)
+	return pair
 }
 
-// compareTriCPU asserts registers-level agreement (cheap, used per
+// comparePairCPU asserts registers-level agreement (cheap, used per
 // batch). Stats are compared through Arch(): the block counters are
 // engine telemetry and legitimately differ across engines.
-func compareTriCPU(t testing.TB, tri [3]*Machine, tag string) {
+func comparePairCPU(t testing.TB, pair [2]*Machine, tag string) {
 	t.Helper()
-	ref := tri[2]
-	for i := 0; i < 2; i++ {
-		if tri[i].CPU != ref.CPU {
-			t.Fatalf("%s: %s CPU diverged from interp:\n%s: %+v\ninterp: %+v",
-				tag, triLabels[i], triLabels[i], tri[i].CPU, ref.CPU)
-		}
-		if tri[i].Stats.Arch() != ref.Stats.Arch() {
-			t.Fatalf("%s: %s stats diverged from interp:\n%s: %v\ninterp: %v",
-				tag, triLabels[i], triLabels[i], tri[i].Stats, ref.Stats)
-		}
+	sb, ref := pair[0], pair[1]
+	if sb.CPU != ref.CPU {
+		t.Fatalf("%s: superblock CPU diverged from interp:\nsuperblock: %+v\n    interp: %+v",
+			tag, sb.CPU, ref.CPU)
+	}
+	if sb.Stats.Arch() != ref.Stats.Arch() {
+		t.Fatalf("%s: superblock stats diverged from interp:\nsuperblock: %v\n    interp: %v",
+			tag, sb.Stats, ref.Stats)
 	}
 }
 
-// compareTri asserts full agreement including the memory image.
-func compareTri(t testing.TB, tri [3]*Machine, tag string) {
+// comparePair asserts full agreement including the memory image.
+func comparePair(t testing.TB, pair [2]*Machine, tag string) {
 	t.Helper()
-	compareTriCPU(t, tri, tag)
-	ref := tri[2].Bus.Snapshot()
-	for i := 0; i < 2; i++ {
-		if !bytes.Equal(tri[i].Bus.Snapshot(), ref) {
-			t.Fatalf("%s: %s memory diverged from interp", tag, triLabels[i])
-		}
+	comparePairCPU(t, pair, tag)
+	if !bytes.Equal(pair[0].Bus.Snapshot(), pair[1].Bus.Snapshot()) {
+		t.Fatalf("%s: superblock memory diverged from interp", tag)
 	}
 }
 
-// triDo applies the same mutation to all three machines.
-func triDo(tri [3]*Machine, f func(m *Machine)) {
-	for _, m := range tri {
+// pairDo applies the same mutation to both machines.
+func pairDo(pair [2]*Machine, f func(m *Machine)) {
+	for _, m := range pair {
 		f(m)
 	}
 }
 
-// TestSuperblockThreeWayDifferential drives the three engines through
-// Run in random batch sizes from randomized any-state starts, injecting
+// stepPair steps both machines once and asserts the events agree.
+func stepPair(t testing.TB, pair [2]*Machine, tag string) {
+	t.Helper()
+	evS, evI := pair[0].Step(), pair[1].Step()
+	if evS != evI {
+		t.Fatalf("%s (step %d): event diverged: superblock=%v interp=%v",
+			tag, pair[0].Stats.Steps, evS, evI)
+	}
+}
+
+// TestSuperblockDifferential drives the two engines through Run in
+// random batch sizes from randomized any-state starts, injecting
 // identical faults between batches. Every batch boundary asserts
 // CPU-and-stats agreement; every trial ends with a full memory compare.
-func TestSuperblockThreeWayDifferential(t *testing.T) {
+func TestSuperblockDifferential(t *testing.T) {
 	trials, batches := 12, 400
 	if testing.Short() {
 		trials, batches = 4, 120
 	}
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(777000 + trial)))
-		tri := newTriMachines(t, Options{
+		pair := newPairMachines(t, Options{
 			ResetVector:        SegOff{0x0100, 0},
 			NMICounter:         trial%2 == 0,
 			HardwiredNMIVector: trial%3 == 0,
@@ -98,13 +101,13 @@ func TestSuperblockThreeWayDifferential(t *testing.T) {
 		})
 
 		// Any-state start: identical random soup in RAM and a random
-		// CPU configuration on all three.
+		// CPU configuration on both.
 		for i := 0; i < 8192; i++ {
 			a := uint32(rng.Intn(mem.AddrSpace))
 			v := byte(rng.Intn(256))
-			triDo(tri, func(m *Machine) { m.Bus.PokeRAM(a, v) })
+			pairDo(pair, func(m *Machine) { m.Bus.PokeRAM(a, v) })
 		}
-		cpu := tri[0].CPU
+		cpu := pair[0].CPU
 		for i := range cpu.R {
 			cpu.R[i] = uint16(rng.Intn(1 << 16))
 		}
@@ -114,7 +117,7 @@ func TestSuperblockThreeWayDifferential(t *testing.T) {
 		cpu.IP = uint16(rng.Intn(1 << 16))
 		cpu.Flags = isa.Flags(rng.Intn(1 << 16))
 		cpu.NMICounter = uint16(rng.Intn(1 << 16))
-		triDo(tri, func(m *Machine) { m.CPU = cpu })
+		pairDo(pair, func(m *Machine) { m.CPU = cpu })
 
 		for b := 0; b < batches; b++ {
 			if rng.Intn(4) == 0 {
@@ -123,30 +126,30 @@ func TestSuperblockThreeWayDifferential(t *testing.T) {
 				case 0:
 					a := uint32(rng.Intn(mem.AddrSpace))
 					v := byte(rng.Intn(256))
-					triDo(tri, func(m *Machine) { m.Bus.PokeRAM(a, v) })
+					pairDo(pair, func(m *Machine) { m.Bus.PokeRAM(a, v) })
 				case 1: // aim at the live code stream
-					a := (uint32(tri[0].CPU.S[isa.CS])<<4 + uint32(tri[0].CPU.IP) + uint32(rng.Intn(16))) & mem.AddrMask
+					a := (uint32(pair[0].CPU.S[isa.CS])<<4 + uint32(pair[0].CPU.IP) + uint32(rng.Intn(16))) & mem.AddrMask
 					v := byte(rng.Intn(256))
-					triDo(tri, func(m *Machine) { m.Bus.PokeRAM(a, v) })
+					pairDo(pair, func(m *Machine) { m.Bus.PokeRAM(a, v) })
 				case 2:
 					v := uint16(rng.Intn(1 << 16))
-					triDo(tri, func(m *Machine) { m.CPU.IP = v })
+					pairDo(pair, func(m *Machine) { m.CPU.IP = v })
 				case 3:
 					r := isa.SReg(rng.Intn(int(isa.NumSRegs)))
 					v := uint16(rng.Intn(1 << 16))
-					triDo(tri, func(m *Machine) { m.CPU.S[r] = v })
+					pairDo(pair, func(m *Machine) { m.CPU.S[r] = v })
 				case 4:
-					triDo(tri, func(m *Machine) { m.RaiseNMI() })
+					pairDo(pair, func(m *Machine) { m.RaiseNMI() })
 				case 5:
 					v := rng.Intn(2) == 0
-					triDo(tri, func(m *Machine) { m.CPU.Halted = v })
+					pairDo(pair, func(m *Machine) { m.CPU.Halted = v })
 				}
 			}
 			n := rng.Intn(97) + 1
-			triDo(tri, func(m *Machine) { m.Run(n) })
-			compareTriCPU(t, tri, "trial batch")
+			pairDo(pair, func(m *Machine) { m.Run(n) })
+			comparePairCPU(t, pair, "trial batch")
 		}
-		compareTri(t, tri, "trial final")
+		comparePair(t, pair, "trial final")
 	}
 }
 
@@ -174,35 +177,90 @@ func TestSuperblockSelfModifyingStoreInsideBlock(t *testing.T) {
 	if len(code) != 9 {
 		t.Fatalf("encoding drifted: len=%d, fix the store target", len(code))
 	}
-	tri := newTriMachines(t, Options{ResetVector: SegOff{0x0100, 0}})
+	pair := newPairMachines(t, Options{ResetVector: SegOff{0x0100, 0}})
 	for i, b := range code {
 		a := 0x1000 + uint32(i)
-		triDo(tri, func(m *Machine) { m.Bus.PokeRAM(a, b) })
+		pairDo(pair, func(m *Machine) { m.Bus.PokeRAM(a, b) })
 	}
-	triDo(tri, func(m *Machine) {
+	pairDo(pair, func(m *Machine) {
 		m.CPU.S[isa.DS] = 0x0100
 		m.Run(2) // mov (store into own block), then the stale slot
 	})
-	for i, m := range tri {
+	for i, m := range pair {
 		if !m.CPU.Halted {
 			t.Fatalf("%s: stale block entry served: self-modified hlt "+
-				"did not execute (ip=%#x)", triLabels[i], m.CPU.IP)
+				"did not execute (ip=%#x)", pairLabels[i], m.CPU.IP)
 		}
 		if m.Stats.Steps != 2 || m.Stats.Instrs != 2 {
-			t.Fatalf("%s: accounting: %v", triLabels[i], m.Stats)
+			t.Fatalf("%s: accounting: %v", pairLabels[i], m.Stats)
 		}
 	}
-	compareTri(t, tri, "in-block self-modify")
+	comparePair(t, pair, "in-block self-modify")
+}
+
+// TestSuperblockHookPokesLiveBlock pins the hooked path: an AfterStep
+// hook that overwrites a later entry of the block being executed must
+// be seen before that entry runs. With a hook installed every step
+// retires through sbExec, whose per-entry write-stamp check is all
+// that stands between the poke and a stale nop. A second hook rewrites
+// ip into the middle of the block, which the (lin, ip) check must
+// honour on the very next step.
+//
+//	0..7: nop ×8   ; one block; the hook pokes hlt over offset 5
+//	8:    jmp 0
+func TestSuperblockHookPokesLiveBlock(t *testing.T) {
+	code := make([]byte, 0, 16)
+	for i := 0; i < 8; i++ {
+		code = append(code, prog(isa.Inst{Op: isa.OpNop})...)
+	}
+	code = append(code, prog(isa.Inst{Op: isa.OpJmp, Imm: 0})...)
+	pair := newPairMachines(t, Options{ResetVector: SegOff{0x0100, 0}})
+	for i, b := range code {
+		a := 0x1000 + uint32(i)
+		pairDo(pair, func(m *Machine) { m.Bus.PokeRAM(a, b) })
+	}
+	pairDo(pair, func(m *Machine) {
+		m.AfterStep = func(m *Machine, _ Event) {
+			if m.Stats.Steps == 2 {
+				m.Bus.PokeRAM(0x1005, byte(isa.OpHlt))
+			}
+		}
+		m.Run(10)
+	})
+	for i, m := range pair {
+		if !m.CPU.Halted || m.Stats.Instrs != 6 || m.CPU.IP != 6 {
+			t.Fatalf("%s: hook's poke into the live block not seen: halted=%v ip=%#x %v",
+				pairLabels[i], m.CPU.Halted, m.CPU.IP, m.Stats)
+		}
+	}
+	if pair[0].Stats.BlockInstrs == 0 {
+		t.Fatalf("superblock: hooked steps bypassed the engine: %v", pair[0].Stats)
+	}
+	comparePair(t, pair, "hook poke")
+
+	// Restart at the top; at step 12 the hook moves ip to offset 3,
+	// skipping entries 1 and 2 of the block the cursor is in.
+	pairDo(pair, func(m *Machine) {
+		m.Bus.PokeRAM(0x1005, byte(isa.OpNop))
+		m.CPU.Halted, m.CPU.IP = false, 0
+		m.AfterStep = func(m *Machine, _ Event) {
+			if m.Stats.Steps == 12 {
+				m.CPU.IP = 3
+			}
+		}
+		m.Run(10)
+	})
+	comparePair(t, pair, "hook ip rewrite")
 }
 
 // TestSuperblockNegativeDecodeRevalidates pins the negative-caching
-// regression for both layers that memoize "these bytes do not decode":
-// the decode cache's inv entries and the engine's negative blocks. A
-// machine parked on an invalid opcode raises (and caches the verdict);
+// regression for the engine's negative blocks, which memoize "these
+// bytes do not decode". A machine parked on an invalid opcode raises
+// (and caches the verdict);
 // after the byte is overwritten with a valid instruction, the very next
 // step must execute it — a stale negative verdict would raise again.
 func TestSuperblockNegativeDecodeRevalidates(t *testing.T) {
-	tri := newTriMachines(t, Options{
+	pair := newPairMachines(t, Options{
 		ResetVector:     SegOff{0x0100, 0},
 		ExceptionPolicy: ExceptionHalt,
 	})
@@ -210,19 +268,19 @@ func TestSuperblockNegativeDecodeRevalidates(t *testing.T) {
 	if isa.InstLen(invalid) != 0 {
 		t.Fatal("0xFF unexpectedly decodes; pick another invalid byte")
 	}
-	triDo(tri, func(m *Machine) { m.Bus.PokeRAM(0x1000, invalid) })
+	pairDo(pair, func(m *Machine) { m.Bus.PokeRAM(0x1000, invalid) })
 
 	// Two steps on the invalid byte: raise, halt, raise again after
 	// unhalting — the second raise is served from the negative cache.
-	triDo(tri, func(m *Machine) {
+	pairDo(pair, func(m *Machine) {
 		m.Run(1)
 		m.CPU.Halted = false
 		m.Run(1)
 		m.CPU.Halted = false
 	})
-	for i, m := range tri {
+	for i, m := range pair {
 		if m.Stats.Exceptions != 2 {
-			t.Fatalf("%s: exceptions = %d, want 2", triLabels[i], m.Stats.Exceptions)
+			t.Fatalf("%s: exceptions = %d, want 2", pairLabels[i], m.Stats.Exceptions)
 		}
 	}
 
@@ -231,22 +289,22 @@ func TestSuperblockNegativeDecodeRevalidates(t *testing.T) {
 	mov := prog(isa.Inst{Op: isa.OpMovRI, R1: r(isa.AX), Imm: 0xBEEF})
 	for i, b := range mov {
 		a := 0x1000 + uint32(i)
-		triDo(tri, func(m *Machine) { m.Bus.PokeRAM(a, b) })
+		pairDo(pair, func(m *Machine) { m.Bus.PokeRAM(a, b) })
 	}
-	triDo(tri, func(m *Machine) { m.Run(1) })
-	for i, m := range tri {
+	pairDo(pair, func(m *Machine) { m.Run(1) })
+	for i, m := range pair {
 		if m.Stats.Exceptions != 2 || m.CPU.R[isa.AX] != 0xBEEF {
 			t.Fatalf("%s: stale negative decode served: exceptions=%d ax=%#x",
-				triLabels[i], m.Stats.Exceptions, m.CPU.R[isa.AX])
+				pairLabels[i], m.Stats.Exceptions, m.CPU.R[isa.AX])
 		}
 	}
-	compareTri(t, tri, "negative revalidate")
+	comparePair(t, pair, "negative revalidate")
 }
 
 // TestSuperblockTelemetryCounts sanity-checks the engine telemetry on a
 // known workload: a straight-line run into a tight loop must retire
 // essentially every instruction through blocks, with zero bails, and
-// the per-engine counters must stay zero on the engines that cannot
+// the block counters must stay zero on the interpreter, which cannot
 // produce them.
 func TestSuperblockTelemetryCounts(t *testing.T) {
 	code := prog(
@@ -254,23 +312,20 @@ func TestSuperblockTelemetryCounts(t *testing.T) {
 		isa.Inst{Op: isa.OpIncR, R1: r(isa.AX)},          // at offset 4
 		isa.Inst{Op: isa.OpJmp, Imm: 4},                  // loop back to the inc
 	)
-	tri := newTriMachines(t, Options{ResetVector: SegOff{0x0100, 0}})
+	pair := newPairMachines(t, Options{ResetVector: SegOff{0x0100, 0}})
 	for i, b := range code {
 		a := 0x1000 + uint32(i)
-		triDo(tri, func(m *Machine) { m.Bus.PokeRAM(a, b) })
+		pairDo(pair, func(m *Machine) { m.Bus.PokeRAM(a, b) })
 	}
-	triDo(tri, func(m *Machine) { m.Run(1000) })
-	sb := tri[0]
+	pairDo(pair, func(m *Machine) { m.Run(1000) })
+	sb := pair[0]
 	if sb.Stats.BlockInstrs != 1000 || sb.Stats.Blocks == 0 || sb.Stats.BlockBails != 0 {
 		t.Fatalf("superblock telemetry off: %v", sb.Stats)
 	}
-	for _, i := range []int{1, 2} {
-		s := tri[i].Stats
-		if s.Blocks != 0 || s.BlockInstrs != 0 || s.BlockBails != 0 {
-			t.Fatalf("%s: phantom block telemetry: %v", triLabels[i], s)
-		}
+	if s := pair[1].Stats; s.Blocks != 0 || s.BlockInstrs != 0 || s.BlockBails != 0 {
+		t.Fatalf("interp: phantom block telemetry: %v", s)
 	}
-	compareTri(t, tri, "telemetry")
+	comparePair(t, pair, "telemetry")
 }
 
 // TestSuperblockBailResumesInterpreter forces a mid-block bail through
@@ -288,22 +343,100 @@ func TestSuperblockBailResumesInterpreter(t *testing.T) {
 		)...)
 	}
 	code = append(code, prog(isa.Inst{Op: isa.OpJmp, Imm: 0})...)
-	tri := newTriMachines(t, Options{ResetVector: SegOff{0x0100, 0}})
+	pair := newPairMachines(t, Options{ResetVector: SegOff{0x0100, 0}})
 	for i, b := range code {
 		a := 0x1000 + uint32(i)
-		triDo(tri, func(m *Machine) { m.Bus.PokeRAM(a, b) })
+		pairDo(pair, func(m *Machine) { m.Bus.PokeRAM(a, b) })
 	}
 	for i := 0; i < 500; i++ {
 		n := rng.Intn(5) + 1 // short batches leave the cursor mid-block
-		triDo(tri, func(m *Machine) { m.Run(n) })
+		pairDo(pair, func(m *Machine) { m.Run(n) })
 		if rng.Intn(3) == 0 {
 			ip := uint16(rng.Intn(len(code)))
-			triDo(tri, func(m *Machine) { m.CPU.IP = ip })
+			pairDo(pair, func(m *Machine) { m.CPU.IP = ip })
 		}
-		compareTriCPU(t, tri, "bail batch")
+		comparePairCPU(t, pair, "bail batch")
 	}
-	if tri[0].Stats.BlockBails == 0 {
+	if pair[0].Stats.BlockBails == 0 {
 		t.Fatal("schedule never produced a mid-block bail; weaken the corruption odds")
 	}
-	compareTri(t, tri, "bail final")
+	comparePair(t, pair, "bail final")
+}
+
+// TestDecodeCacheStosbOverwritesCachedInstruction pins the classic
+// stale-decode hazard with an exact program, on both engines: an
+// instruction is executed (and so decoded into a block), then the
+// guest's own stosb overwrites it, then it is re-executed. The
+// overwritten form must execute — an engine serving the stale decode
+// would run the old instruction.
+//
+//	0: nop      ; executed first, lands in a block
+//	1: stosb    ; al=hlt -> es:di = cs:0, overwriting the nop
+//	2: jmp 0    ; back to the (now rewritten) slot
+func TestDecodeCacheStosbOverwritesCachedInstruction(t *testing.T) {
+	pair := newPairMachines(t, Options{ResetVector: SegOff{0x0100, 0}})
+	code := []byte{byte(isa.OpNop), byte(isa.OpStosb), byte(isa.OpJmp), 0, 0}
+	for i, b := range code {
+		a := 0x1000 + uint32(i)
+		pairDo(pair, func(m *Machine) { m.Bus.PokeRAM(a, b) })
+	}
+	pairDo(pair, func(m *Machine) {
+		m.CPU.R[isa.AX] = uint16(isa.OpHlt) // al = hlt
+		m.CPU.R[isa.DI] = 0
+		m.CPU.S[isa.ES] = 0x0100
+		// nop, stosb, jmp, then the rewritten slot: it must be hlt.
+		m.Run(4)
+	})
+	for i, m := range pair {
+		if !m.CPU.Halted {
+			t.Fatalf("%s: stale decode served: machine did not execute "+
+				"the self-modified hlt (ip=%#x)", pairLabels[i], m.CPU.IP)
+		}
+	}
+	comparePair(t, pair, "stosb overwrite")
+}
+
+// TestDecodeCacheGuestStoreDifferential drives the two engines one
+// Step at a time through byte soup that is dense in store
+// instructions, with registers repeatedly pointed back at the code
+// region so guest stores (StoreByte and StoreWord paths, not just
+// Poke) land on executed instructions. Events must agree on every
+// step.
+func TestDecodeCacheGuestStoreDifferential(t *testing.T) {
+	storeOps := []isa.Op{isa.OpStosb, isa.OpMovsb, isa.OpRepMovsb, isa.OpMovMR, isa.OpMovMI}
+	rng := rand.New(rand.NewSource(31337))
+	for trial := 0; trial < 30; trial++ {
+		pair := newPairMachines(t, Options{ResetVector: SegOff{0x0100, 0}})
+		// Code soup biased toward stores, identical on both machines.
+		for i := 0; i < 2048; i++ {
+			var b byte
+			if rng.Intn(3) == 0 {
+				b = byte(storeOps[rng.Intn(len(storeOps))])
+			} else {
+				b = byte(rng.Intn(256))
+			}
+			a := 0x1000 + uint32(i)
+			pairDo(pair, func(m *Machine) { m.Bus.PokeRAM(a, b) })
+		}
+		for i := 0; i < 4000; i++ {
+			if i%97 == 0 {
+				// Re-aim the string/store registers at the code so the
+				// soup keeps rewriting itself.
+				seg, di, si := uint16(0x0100), uint16(rng.Intn(2048)), uint16(rng.Intn(2048))
+				ax := uint16(rng.Intn(1 << 16))
+				cx := uint16(rng.Intn(64))
+				ip := uint16(rng.Intn(2048))
+				pairDo(pair, func(m *Machine) {
+					m.CPU.S[isa.ES], m.CPU.S[isa.DS] = seg, seg
+					m.CPU.R[isa.DI], m.CPU.R[isa.SI] = di, si
+					m.CPU.R[isa.AX], m.CPU.R[isa.CX] = ax, cx
+					m.CPU.S[isa.CS] = seg
+					m.CPU.IP = ip
+					m.CPU.Halted = false
+				})
+			}
+			stepPair(t, pair, "guest-store soup")
+		}
+		comparePair(t, pair, "guest-store soup/final")
+	}
 }

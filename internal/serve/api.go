@@ -79,7 +79,10 @@ type apiError struct {
 // fail maps service errors onto HTTP statuses.
 func fail(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrFull):
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, ErrShutdown):
@@ -114,7 +117,7 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var sp SessionSpec
-	if err := decodeBody(r, &sp); err != nil {
+	if err := decodeBody(w, r, &sp); err != nil {
 		fail(w, err)
 		return
 	}
@@ -191,7 +194,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RunRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		fail(w, err)
 		return
 	}
@@ -210,7 +213,7 @@ func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FaultRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		fail(w, err)
 		return
 	}
@@ -334,10 +337,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxBodyBytes caps a request body. Every request is a small JSON
+// object, so a larger body is hostile or broken; reading stops at the
+// cap and the request fails with 413 before it reaches a session.
+const maxBodyBytes = 64 << 10
+
 // decodeBody parses an optional JSON body (empty bodies decode to the
-// zero request, so `curl -X POST` without -d works for defaults).
-func decodeBody(r *http.Request, v interface{}) error {
-	dec := json.NewDecoder(r.Body)
+// zero request, so `curl -X POST` without -d works for defaults). It
+// reads at most maxBodyBytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(v); err != nil && !errors.Is(err, io.EOF) {
 		return fmt.Errorf("request body: %w", err)
 	}

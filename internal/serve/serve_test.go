@@ -518,3 +518,38 @@ func TestStressManySessions(t *testing.T) {
 		t.Errorf("aged-out session error = %v, want ErrEvicted", err)
 	}
 }
+
+// TestOversizedBodyRejected checks the request-body cap: a POST whose
+// body exceeds maxBodyBytes gets 413 and changes nothing — no session
+// is created, no session runs, and the registry's logical clock does
+// not tick. The padded bodies are otherwise valid requests (unknown
+// fields are ignored), so without the cap both would succeed.
+func TestOversizedBodyRejected(t *testing.T) {
+	reg, ts := newTestServer(t, Options{Workers: 1})
+	id := createSession(t, ts.URL, `{"image":"baseline","seed":3}`)
+	before := reg.Stats()
+	statusBefore := apiOK(t, "GET", ts.URL+"/api/sessions/"+id, "")
+
+	pad := strings.Repeat("x", maxBodyBytes)
+	for _, c := range []struct{ url, body string }{
+		{ts.URL + "/api/sessions", `{"image":"reinstall","seed":7,"pad":"` + pad + `"}`},
+		{ts.URL + "/api/sessions/" + id + "/run", `{"steps":1000,"pad":"` + pad + `"}`},
+		{ts.URL + "/api/sessions/" + id + "/fault", `{"kind":"os-blast","pad":"` + pad + `"}`},
+	} {
+		code, body := apiDo(t, "POST", c.url, c.body)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413: %s",
+				c.url, len(c.body), code, body)
+		}
+	}
+
+	if after := reg.Stats(); after != before {
+		t.Errorf("registry changed by rejected requests:\nbefore: %+v\n after: %+v", before, after)
+	}
+	if got := reg.List(); len(got) != 1 || got[0].ID != id {
+		t.Errorf("session table changed: %d sessions", len(got))
+	}
+	if statusAfter := apiOK(t, "GET", ts.URL+"/api/sessions/"+id, ""); !bytes.Equal(statusAfter, statusBefore) {
+		t.Errorf("session state changed by rejected requests:\nbefore: %s\n after: %s", statusBefore, statusAfter)
+	}
+}
