@@ -39,8 +39,17 @@ import (
 	"ssos/internal/serve"
 )
 
-// readHeaderTimeout is the fixed limit on reading a request's headers.
-const readHeaderTimeout = 10 * time.Second
+// Fixed server timeouts. readHeaderTimeout bounds sending the request
+// headers and readTimeout the whole request, body included (bodies are
+// capped at 64 KiB, so a minute is generous); idleTimeout closes
+// keep-alive connections that wait that long for their next request.
+// There is deliberately no WriteTimeout: it would cut off long-lived
+// SSE event streams (/api/sessions/{id}/stream) mid-session.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8023", "listen address (use :0 for an ephemeral port; the actual address is printed)")
@@ -58,10 +67,14 @@ func main() {
 		Workers:     *workers,
 		RingSize:    *ringSize,
 	})
-	// ReadHeaderTimeout bounds how long a client may take to send its
-	// request headers, so slow or idle connections cannot hold the
-	// server's connection slots indefinitely.
-	srv := &http.Server{Handler: serve.NewServer(reg), ReadHeaderTimeout: readHeaderTimeout}
+	// The read and idle timeouts keep slow or idle connections from
+	// holding the server's connection slots indefinitely.
+	srv := &http.Server{
+		Handler:           serve.NewServer(reg),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

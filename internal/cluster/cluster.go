@@ -283,6 +283,10 @@ func (c *Cluster) runEpoch() {
 // given strikes at their offsets, and returns the epoch output.
 func (r *replica) runEpoch(steps int, strikes []Strike) epochOutput {
 	r.epochStart = r.sys.Steps()
+	// The vote (output) reads only this epoch's heartbeats and the one
+	// before them, so older ones are dropped: a long run's memory and
+	// per-epoch vote cost stay flat.
+	r.sys.Heartbeat.TrimBefore(r.epochStart)
 	done := 0
 	for _, s := range strikes {
 		off := s.Offset

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ssos/internal/core"
+	"ssos/internal/dev"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -47,6 +48,37 @@ func TestFaultFreeLockstep(t *testing.T) {
 		}
 		if len(c.Events) != 0 {
 			t.Errorf("%v: unexpected reconfigurations: %v", a, c.Events)
+		}
+	}
+}
+
+// TestEpochOutputIgnoresTrimmedHistory: the console trim at each epoch
+// start leaves every replica's epoch output (legality verdict, digest,
+// beat count) what the whole heartbeat history gives, through strikes
+// late in an epoch whose damage straddles the next epoch's start.
+func TestEpochOutputIgnoresTrimmedHistory(t *testing.T) {
+	modes := []FaultMode{ModeNone, ModeBitflip, ModeOSBlast, ModeCPUBlast, ModeBlast}
+	for _, a := range []core.Approach{
+		core.ApproachBaseline, core.ApproachReinstall,
+		core.ApproachContinue, core.ApproachMonitor,
+	} {
+		c := MustNew(Config{Replicas: 3, Approach: a, Seed: 5})
+		steps := c.cfg.EpochSteps
+		for _, r := range c.replicas {
+			var all []dev.PortWrite
+			r.sys.Heartbeat.OnWrite = func(step uint64, v uint16) {
+				all = append(all, dev.PortWrite{Step: step, Value: v})
+			}
+			for e := 0; e < 10; e++ {
+				var strikes []Strike
+				if m := modes[(e+r.id)%len(modes)]; m != ModeNone {
+					strikes = []Strike{{Replica: r.id, Offset: steps - steps/(8+e), Mode: m}}
+				}
+				if got, want := r.runEpoch(steps, strikes), r.outputOf(all); got != want {
+					t.Fatalf("%v replica %d epoch %d: trimmed output %+v, whole history %+v",
+						a, r.id, e, got, want)
+				}
+			}
 		}
 	}
 }

@@ -35,6 +35,12 @@ import (
 // between exchanges (the message-delay regime of a real deployment).
 const DefaultRelayEvery = 2000
 
+// fleetConsoleCap bounds the heartbeat writes each replica's consoles
+// retain. The fleet judges the ring by its mailbox slots, never by the
+// consoles, so their history only costs memory on a long run; the
+// bound leaves a report's recent window readable.
+const fleetConsoleCap = 1024
+
 // RingFleetConfig parameterizes a ring fleet. Zero values select
 // defaults.
 type RingFleetConfig struct {
@@ -85,10 +91,11 @@ func NewRingFleet(cfg RingFleetConfig) (*RingFleet, error) {
 	f := &RingFleet{cfg: cfg, proto: proto}
 	for i := 0; i < cfg.Replicas; i++ {
 		sys, err := core.New(core.Config{
-			Approach:  core.ApproachScheduler,
-			Workload:  w,
-			RingNode:  i,
-			RingNodes: cfg.Replicas,
+			Approach:   core.ApproachScheduler,
+			Workload:   w,
+			RingNode:   i,
+			RingNodes:  cfg.Replicas,
+			ConsoleCap: fleetConsoleCap,
 		})
 		if err != nil {
 			return nil, err

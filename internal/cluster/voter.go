@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"ssos/internal/dev"
 	"ssos/internal/guest"
 )
 
@@ -23,9 +24,12 @@ type epochOutput struct {
 }
 
 // output computes the replica's epoch output at the current step.
-func (r *replica) output() epochOutput {
+func (r *replica) output() epochOutput { return r.outputOf(r.sys.Heartbeat.Writes()) }
+
+// outputOf computes the epoch output from the heartbeat stream w, which
+// must hold at least the epoch's writes and the one before them.
+func (r *replica) outputOf(w []dev.PortWrite) epochOutput {
 	now := r.sys.Steps()
-	w := r.sys.Heartbeat.Writes()
 
 	// The epoch's slice of the stream.
 	first := len(w)

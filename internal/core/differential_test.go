@@ -32,11 +32,11 @@ type diffPair struct {
 	col [2]*obs.Collector
 }
 
-func newDiffPair(t *testing.T, ap Approach) *diffPair {
+func newDiffPair(t *testing.T, cfg Config) *diffPair {
 	t.Helper()
 	p := &diffPair{}
 	for i := range p.sys {
-		p.sys[i] = MustNew(Config{Approach: ap})
+		p.sys[i] = MustNew(cfg)
 		p.col[i] = obs.NewCollector()
 		p.sys[i].Instrument(p.col[i])
 	}
@@ -55,11 +55,54 @@ func (p *diffPair) pokeBoth(addr uint32, v byte) {
 	p.each(func(s *System) { s.M.Bus.PokeRAM(addr, v) })
 }
 
+// tickerState renders the clocked devices' registers and action
+// counters: the state the turbo lane settles in bulk.
+func tickerState(s *System) string {
+	var st string
+	if w := s.Watchdog; w != nil {
+		st += fmt.Sprintf("watchdog{%d/%d fires=%d} ", w.Counter, w.Period, w.Fires)
+	}
+	if w := s.Silence; w != nil {
+		st += fmt.Sprintf("silence{%d/%d fires=%d} ", w.Counter, w.SilenceLimit, w.Fires)
+	}
+	if tm := s.Timer; tm != nil {
+		st += fmt.Sprintf("timer{%d/%d fires=%d} ", tm.Counter, tm.Period, tm.Fires)
+	}
+	if c := s.Checkpoint; c != nil {
+		st += fmt.Sprintf("checkpoint{%d/%d snapshots=%d restores=%d}", c.Counter, c.Period, c.Snapshots, c.Restores)
+	}
+	return st
+}
+
+// corruptTickers sets every clocked device's counter to the same random
+// value on both systems, in range or (half the time) far past the
+// period: the soft state the clamps must absorb.
+func (p *diffPair) corruptTickers(rng *rand.Rand) {
+	v := uint32(rng.Intn(1 << 10))
+	if rng.Intn(2) == 0 {
+		v = rng.Uint32()
+	}
+	p.each(func(s *System) {
+		if s.Watchdog != nil {
+			s.Watchdog.Counter = v
+		}
+		if s.Silence != nil {
+			s.Silence.Counter = v
+		}
+		if s.Timer != nil {
+			s.Timer.Counter = v
+		}
+		if s.Checkpoint != nil {
+			s.Checkpoint.Counter = v
+		}
+	})
+}
+
 // injectSame applies one identical random fault to both machines. The
 // menu mirrors the fault package's corruption classes but is applied
 // symmetrically, which a per-machine Injector cannot do.
 func (p *diffPair) injectSame(rng *rand.Rand) {
-	switch rng.Intn(8) {
+	switch rng.Intn(9) {
 	case 0: // RAM bit flip — the classic transient fault
 		a := uint32(rng.Intn(mem.AddrSpace))
 		v := p.sys[0].M.Bus.Peek(a) ^ (1 << uint(rng.Intn(8)))
@@ -86,6 +129,8 @@ func (p *diffPair) injectSame(rng *rand.Rand) {
 	case 7:
 		v := rng.Intn(2) == 0
 		p.each(func(s *System) { s.M.CPU.Halted = v })
+	case 8:
+		p.corruptTickers(rng)
 	}
 }
 
@@ -132,6 +177,9 @@ func (p *diffPair) compare(t *testing.T, tag string) {
 	if !bytes.Equal(sb.M.Bus.Snapshot(), ref.M.Bus.Snapshot()) {
 		t.Fatalf("%s: memory images diverged", tag)
 	}
+	if ts, tr := tickerState(sb), tickerState(ref); ts != tr {
+		t.Fatalf("%s: device state diverged:\nsuperblock: %s\n    interp: %s", tag, ts, tr)
+	}
 	if !reflect.DeepEqual(p.col[0].Events(), p.col[1].Events()) {
 		t.Fatalf("%s: observability event streams diverged (%d vs %d events)",
 			tag, len(p.col[0].Events()), len(p.col[1].Events()))
@@ -157,7 +205,7 @@ func TestDecodeCacheDifferential(t *testing.T) {
 	}
 	for _, ap := range []Approach{ApproachBaseline, ApproachReinstall, ApproachMonitor} {
 		for trial := 0; trial < trials; trial++ {
-			p := newDiffPair(t, ap)
+			p := newDiffPair(t, Config{Approach: ap})
 			rng := rand.New(rand.NewSource(int64(9000 + 100*int(ap) + trial)))
 			if trial%2 == 1 {
 				p.randomizeSame(rng)
@@ -176,23 +224,45 @@ func TestDecodeCacheDifferential(t *testing.T) {
 
 // TestSuperblockDifferentialRunBatches drives the two engines through
 // real guest kernels via Run in uneven batches — the path that
-// exercises the turbo lane and block chaining — with identical faults
-// injected at batch boundaries, from both the clean boot state and
-// fully randomized RAM + CPU configurations. A second configuration
+// exercises the turbo lane, the halted idle and block chaining — with
+// identical faults injected at batch boundaries, ticker counters among
+// them, from both the clean boot state and fully randomized RAM + CPU
+// configurations. The configurations cover every ticker the systems
+// carry (watchdog, silence watchdog, timer, checkpointer) and short
+// watchdog periods; some batches run far longer than the period, so
+// the tickers' quiet horizon is what ends the lane. A second pass
 // attaches a fault.Injector Rate hook with the same seed to both
-// systems, so every step runs the full skeleton with an AfterStep hook
-// striking random faults from inside the step loop.
+// systems of the first three configurations, so every step runs the
+// full skeleton with an AfterStep hook striking random faults from
+// inside the step loop.
 func TestSuperblockDifferentialRunBatches(t *testing.T) {
 	batches, trials := 600, 4
 	if testing.Short() {
 		batches, trials = 150, 2
 	}
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"baseline", Config{Approach: ApproachBaseline}},
+		{"reinstall", Config{Approach: ApproachReinstall}},
+		{"monitor", Config{Approach: ApproachMonitor}},
+		{"scheduler", Config{Approach: ApproachScheduler}},
+		{"adaptive", Config{Approach: ApproachAdaptive}},
+		{"checkpoint", Config{Approach: ApproachCheckpoint}},
+		{"reinstall/tickful", Config{Approach: ApproachReinstall, TickfulKernel: true}},
+		{"scheduler/period-61", Config{Approach: ApproachScheduler, WatchdogPeriod: 61}},
+		{"checkpoint/period-331", Config{Approach: ApproachCheckpoint, WatchdogPeriod: 331}},
+	}
 	for _, hooked := range []bool{false, true} {
-		for _, ap := range []Approach{ApproachBaseline, ApproachReinstall, ApproachMonitor} {
+		for ci, c := range configs {
+			if hooked && ci >= 3 {
+				break // hooked steps tick per step on both engines; the first three suffice
+			}
 			for trial := 0; trial < trials; trial++ {
-				seed := int64(31000 + 100*int(ap) + trial)
-				tag := ap.String()
-				p := newDiffPair(t, ap)
+				seed := int64(31000 + 100*ci + trial)
+				tag := c.name
+				p := newDiffPair(t, c.cfg)
 				if hooked {
 					seed += 50
 					tag += "/rate-hook"
@@ -204,7 +274,7 @@ func TestSuperblockDifferentialRunBatches(t *testing.T) {
 				}
 				for b := 0; b < batches; b++ {
 					if rng.Intn(5) == 0 {
-						switch rng.Intn(7) {
+						switch rng.Intn(8) {
 						case 0:
 							a := uint32(rng.Intn(mem.AddrSpace))
 							v := p.sys[0].M.Bus.Peek(a) ^ (1 << uint(rng.Intn(8)))
@@ -228,12 +298,17 @@ func TestSuperblockDifferentialRunBatches(t *testing.T) {
 						case 6:
 							v := rng.Intn(2) == 0
 							p.each(func(s *System) { s.M.CPU.Halted = v })
+						case 7:
+							p.corruptTickers(rng)
 						}
 					}
 					n := rng.Intn(197) + 1
+					if rng.Intn(10) == 0 {
+						n = rng.Intn(1500) + 1 // past short periods: the horizon ends the lane
+					}
 					p.each(func(s *System) { s.M.Run(n) })
 					// Cheap per-batch agreement; full compare at trial end.
-					if p.sys[0].M.CPU != p.sys[1].M.CPU {
+					if p.sys[0].M.CPU != p.sys[1].M.CPU || tickerState(p.sys[0]) != tickerState(p.sys[1]) {
 						p.compare(t, tag+"/batch")
 					}
 				}
@@ -249,7 +324,7 @@ func TestSuperblockDifferentialRunBatches(t *testing.T) {
 // so a stale predecoded block would execute the overwritten
 // instruction.
 func TestDecodeCacheDifferentialSelfModifying(t *testing.T) {
-	p := newDiffPair(t, ApproachBaseline)
+	p := newDiffPair(t, Config{Approach: ApproachBaseline})
 	rng := rand.New(rand.NewSource(4242))
 	code := uint32(0x0100) << 4 // default kernel image segment
 	for i := 0; i < 30000; i++ {

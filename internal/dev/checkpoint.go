@@ -60,19 +60,17 @@ func NewCheckpointer(bus *mem.Bus, region mem.Region, period uint32) *Checkpoint
 
 // Tick advances the snapshot countdown.
 func (c *Checkpointer) Tick(*machine.Machine) {
-	if c.Period == 0 {
-		c.Period = 1
-	}
-	if c.Counter >= c.Period {
-		c.Counter = c.Period - 1
-	}
-	if c.Counter == 0 {
+	if countdown(&c.Period, &c.Counter) {
 		c.snapshot()
-		c.Counter = c.Period - 1
-		return
 	}
-	c.Counter--
 }
+
+// Quiet reports how many upcoming ticks only count down: the acting
+// tick, which reads the region, is the one after them.
+func (c *Checkpointer) Quiet() int { return quietTicks(c.Period, c.Counter) }
+
+// Skip applies k ≤ Quiet() ticks at once, exactly as k calls of Tick.
+func (c *Checkpointer) Skip(k int) { skipTicks(&c.Period, &c.Counter, k) }
 
 func (c *Checkpointer) snapshot() {
 	if c.shadow == nil {

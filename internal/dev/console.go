@@ -1,5 +1,7 @@
 package dev
 
+import "slices"
+
 // PortWrite is one value written by the guest to an output port,
 // stamped with the machine step at which it happened.
 type PortWrite struct {
@@ -106,6 +108,50 @@ func (c *Console) Writes() []PortWrite {
 		out = append(out, ch...)
 	}
 	return out
+}
+
+// TrimBefore discards the leading run of retained writes stamped
+// before step, except the last write of that run. A stream checker such
+// as trace.HeartbeatSpec judges each write against its predecessor and
+// silence against the newest write, so every verdict it stamps at or
+// after step is the same on the trimmed stream as on the whole: an
+// owner that only asks about steps from step onward keeps its memory
+// bounded this way however long it runs. Trimmed writes still count in
+// Total, not in Dropped.
+func (c *Console) TrimBefore(step uint64) {
+	if c.Max > 0 {
+		w := c.Writes()
+		if d := leadingBefore(w, step) - 1; d > 0 {
+			c.ring, c.start = w[d:], 0
+		}
+		return
+	}
+	d := -1 // keep the run's last write
+	for _, ch := range c.chunks {
+		n := leadingBefore(ch, step)
+		d += n
+		if n < len(ch) {
+			break
+		}
+	}
+	for d > 0 {
+		ch := c.chunks[0]
+		if d < len(ch) {
+			c.chunks[0] = ch[d:]
+			return
+		}
+		d -= len(ch)
+		c.chunks = slices.Delete(c.chunks, 0, 1)
+	}
+}
+
+// leadingBefore counts the leading writes stamped before step.
+func leadingBefore(w []PortWrite, step uint64) int {
+	n := 0
+	for n < len(w) && w[n].Step < step {
+		n++
+	}
+	return n
 }
 
 // Total returns the number of writes ever made (including dropped).

@@ -1,6 +1,7 @@
 package dev
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -122,6 +123,50 @@ func TestConsoleRingLimit(t *testing.T) {
 	c.Reset()
 	if _, ok := c.Last(); ok || c.Total() != 0 {
 		t.Fatal("reset did not clear")
+	}
+}
+
+// TestConsoleTrimBefore: trimming keeps the last write stamped before
+// the cut and everything after it, in both the chunked log (across
+// chunk boundaries) and the bounded ring, and the console keeps
+// recording normally afterwards.
+func TestConsoleTrimBefore(t *testing.T) {
+	const n = 3*consoleChunk + 5
+	for _, limit := range []int{0, 100} {
+		for _, cut := range []uint64{0, 1, 2, 3, 2 * consoleChunk, 2*consoleChunk + 1, 2 * n, 2*n + 9} {
+			var step uint64
+			c := NewConsole(func() uint64 { return step }, limit)
+			for i := 0; i < n; i++ {
+				step = uint64(2 * i)
+				c.Out(0, uint16(i))
+			}
+			full := c.Writes()
+			k := 0
+			for k < len(full) && full[k].Step < cut {
+				k++
+			}
+			want := full[max(k-1, 0):]
+			c.TrimBefore(cut)
+			if got := c.Writes(); !slices.Equal(got, want) {
+				t.Fatalf("limit=%d cut=%d: kept %d writes from %v, want %d from %v",
+					limit, cut, len(got), got[:1], len(want), want[:1])
+			}
+			if c.Total() != n {
+				t.Fatalf("limit=%d cut=%d: total %d, want %d", limit, cut, c.Total(), n)
+			}
+			step = 2 * n
+			c.Out(0, 0xEE)
+			if last, ok := c.Last(); !ok || last != (PortWrite{2 * n, 0xEE}) {
+				t.Fatalf("limit=%d cut=%d: last after trim %v %v", limit, cut, last, ok)
+			}
+			wantLen := len(want) + 1
+			if limit > 0 {
+				wantLen = min(wantLen, limit)
+			}
+			if got := c.Writes(); len(got) != wantLen {
+				t.Fatalf("limit=%d cut=%d: %d writes after one more, want %d", limit, cut, len(got), wantLen)
+			}
+		}
 	}
 }
 
@@ -294,4 +339,119 @@ func TestSilenceWatchdogSelfStabilizes(t *testing.T) {
 		t.Fatal("nil inner In")
 	}
 	w.Out(0, 1) // nil inner must not panic
+}
+
+// tickerReg is a clocked device's register and its count of actions
+// (signals raised or snapshots taken).
+type tickerReg struct {
+	period, counter uint32
+	acts            uint64
+}
+
+// tickerCase builds one of the four clocked devices at a given
+// (period, counter), with a view of its register.
+type tickerCase struct {
+	name string
+	make func(period, counter uint32) (machine.Ticker, func() tickerReg)
+}
+
+func tickerCases(bus *mem.Bus) []tickerCase {
+	return []tickerCase{
+		{"watchdog", func(p, c uint32) (machine.Ticker, func() tickerReg) {
+			w := &Watchdog{Period: p, Counter: c, Target: TargetNMI}
+			return w, func() tickerReg { return tickerReg{w.Period, w.Counter, w.Fires} }
+		}},
+		{"timer", func(p, c uint32) (machine.Ticker, func() tickerReg) {
+			t := &Timer{Period: p, Counter: c, Vec: machine.VecTimer}
+			return t, func() tickerReg { return tickerReg{t.Period, t.Counter, t.Fires} }
+		}},
+		{"silence", func(p, c uint32) (machine.Ticker, func() tickerReg) {
+			w := &SilenceWatchdog{SilenceLimit: p, Counter: c}
+			return w, func() tickerReg { return tickerReg{w.SilenceLimit, w.Counter, w.Fires} }
+		}},
+		{"checkpoint", func(p, c uint32) (machine.Ticker, func() tickerReg) {
+			k := &Checkpointer{Region: mem.Region{Start: 0x5000, Size: 4}, Period: p, Counter: c, bus: bus}
+			return k, func() tickerReg { return tickerReg{k.Period, k.Counter, k.Snapshots} }
+		}},
+	}
+}
+
+// TestTickerSkipEqualsTicks pins the quiet-horizon contract the step
+// loop's bulk paths rely on, for all four clocked devices from any
+// register state — period 0, counter 0, counter at and past the
+// period: Quiet never exceeds period-1; Skip(k) leaves the device
+// exactly as k Ticks do for every k in 0..Quiet(), and those Ticks
+// raise nothing; and the (Quiet()+1)-th Tick acts.
+func TestTickerSkipEqualsTicks(t *testing.T) {
+	bus := mem.NewBus()
+	periods := []uint32{0, 1, 2, 3, 7, 16, 97}
+	counters := func(p uint32) []uint32 {
+		cs := []uint32{0, 1, p / 2, p, p + 1, p + 40, 0xFFFFFFFF}
+		if p > 0 {
+			cs = append(cs, p-1, p-2)
+		}
+		return cs
+	}
+	for _, tc := range tickerCases(bus) {
+		for _, p := range periods {
+			for _, c := range counters(p) {
+				ticked, tickedReg := tc.make(p, c)
+				q := ticked.Quiet()
+				if q < 0 || (p == 0 && q != 0) || (p > 0 && q > int(p)-1) {
+					t.Fatalf("%s(%d,%d): Quiet() = %d out of range", tc.name, p, c, q)
+				}
+				m := idleMachine()
+				for k := 0; k <= q; k++ {
+					skipped, skippedReg := tc.make(p, c)
+					skipped.Skip(k)
+					if got, want := skippedReg(), tickedReg(); got != want {
+						t.Fatalf("%s(%d,%d): Skip(%d) = %+v, %d Ticks = %+v", tc.name, p, c, k, got, k, want)
+					}
+					if k < q {
+						ticked.Tick(m)
+					}
+				}
+				if m.NMIPending() || tickedReg().acts != 0 {
+					t.Fatalf("%s(%d,%d): a quiet tick acted", tc.name, p, c)
+				}
+				ticked.Tick(m)
+				if tickedReg().acts != 1 {
+					t.Fatalf("%s(%d,%d): tick %d after Quiet() = %d did not act", tc.name, p, c, q+1, q)
+				}
+				if (tc.name == "watchdog" || tc.name == "silence") && !m.NMIPending() {
+					t.Fatalf("%s(%d,%d): acting tick raised no NMI", tc.name, p, c)
+				}
+			}
+		}
+	}
+}
+
+// TestTickerQuietLargeRegisters covers registers too long to tick
+// through: Quiet stays within period-1 and fits int, and after
+// Skip(Quiet()) the very next Tick acts.
+func TestTickerQuietLargeRegisters(t *testing.T) {
+	bus := mem.NewBus()
+	for _, tc := range tickerCases(bus) {
+		for _, p := range []uint32{1 << 20, 0x80000000, 0xFFFFFFFF} {
+			for _, c := range []uint32{0, 12345, p - 1, p, 0xFFFFFFFF} {
+				d, reg := tc.make(p, c)
+				q := d.Quiet()
+				if q < 0 || uint64(q) > uint64(p)-1 {
+					t.Fatalf("%s(%d,%d): Quiet() = %d", tc.name, p, c, q)
+				}
+				m := idleMachine()
+				d.Skip(q)
+				if reg().acts != 0 {
+					t.Fatalf("%s(%d,%d): Skip acted", tc.name, p, c)
+				}
+				if q < int(min(c, p-1)) {
+					continue // capped horizon: the counter is still above zero
+				}
+				d.Tick(m)
+				if reg().acts != 1 {
+					t.Fatalf("%s(%d,%d): tick after Skip(Quiet()) did not act", tc.name, p, c)
+				}
+			}
+		}
+	}
 }

@@ -57,17 +57,16 @@ func (w *SilenceWatchdog) Out(port uint16, v uint16) {
 
 // Tick advances the silence countdown, pulsing NMI at zero.
 func (w *SilenceWatchdog) Tick(m *machine.Machine) {
-	if w.SilenceLimit == 0 {
-		w.SilenceLimit = 1
-	}
-	if w.Counter >= w.SilenceLimit {
-		w.Counter = w.SilenceLimit - 1
-	}
-	if w.Counter == 0 {
+	if countdown(&w.SilenceLimit, &w.Counter) {
 		w.Fires++
 		m.RaiseNMI()
-		w.Counter = w.SilenceLimit - 1
-		return
 	}
-	w.Counter--
 }
+
+// Quiet reports how many upcoming ticks only count down. A port write
+// reloads the counter and so lengthens the horizon; the machine settles
+// its tickers before any port access and re-reads the horizon after it.
+func (w *SilenceWatchdog) Quiet() int { return quietTicks(w.SilenceLimit, w.Counter) }
+
+// Skip applies k ≤ Quiet() ticks at once, exactly as k calls of Tick.
+func (w *SilenceWatchdog) Skip(k int) { skipTicks(&w.SilenceLimit, &w.Counter, k) }

@@ -23,17 +23,14 @@ func NewTimer(period uint32, vec uint8) *Timer {
 
 // Tick advances the countdown, raising the IRQ at zero.
 func (t *Timer) Tick(m *machine.Machine) {
-	if t.Period == 0 {
-		t.Period = 1
-	}
-	if t.Counter >= t.Period {
-		t.Counter = t.Period - 1
-	}
-	if t.Counter == 0 {
+	if countdown(&t.Period, &t.Counter) {
 		t.Fires++
 		m.RaiseIRQ(t.Vec)
-		t.Counter = t.Period - 1
-		return
 	}
-	t.Counter--
 }
+
+// Quiet reports how many upcoming ticks only count down.
+func (t *Timer) Quiet() int { return quietTicks(t.Period, t.Counter) }
+
+// Skip applies k ≤ Quiet() ticks at once, exactly as k calls of Tick.
+func (t *Timer) Skip(k int) { skipTicks(&t.Period, &t.Counter, k) }

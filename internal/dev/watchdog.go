@@ -45,26 +45,24 @@ func NewWatchdog(period uint32, target WatchdogTarget) *Watchdog {
 }
 
 // Tick advances the countdown; at zero it pulses the target pin and
-// reloads.
+// reloads. The counter is clamped to the register's maximal value
+// first, so a corrupted simulation state converges.
 func (w *Watchdog) Tick(m *machine.Machine) {
-	if w.Period == 0 {
-		w.Period = 1
-	}
-	if w.Counter >= w.Period {
-		// The physical register cannot hold more than the maximal
-		// value; a corrupted simulation state converges here.
-		w.Counter = w.Period - 1
-	}
-	if w.Counter == 0 {
-		w.Fires++
-		switch w.Target {
-		case TargetNMI:
-			m.RaiseNMI()
-		case TargetReset:
-			m.RaiseReset()
-		}
-		w.Counter = w.Period - 1
+	if !countdown(&w.Period, &w.Counter) {
 		return
 	}
-	w.Counter--
+	w.Fires++
+	switch w.Target {
+	case TargetNMI:
+		m.RaiseNMI()
+	case TargetReset:
+		m.RaiseReset()
+	}
 }
+
+// Quiet reports how many upcoming ticks only count down (the machine's
+// quiet-horizon contract): the clamped counter.
+func (w *Watchdog) Quiet() int { return quietTicks(w.Period, w.Counter) }
+
+// Skip applies k ≤ Quiet() ticks at once, exactly as k calls of Tick.
+func (w *Watchdog) Skip(k int) { skipTicks(&w.Period, &w.Counter, k) }

@@ -63,16 +63,88 @@ func TestRandomProgramsNeverWedgeTheStepper(t *testing.T) {
 	}
 }
 
+// fuzzTicker is a countdown ticker local to the fuzz harness (the dev
+// devices import this package): period and counter clamp like the
+// watchdog's, and the acting tick latches a fuzz-chosen pin.
+type fuzzTicker struct {
+	period, counter uint32
+	pin             uint8
+	fires           uint64
+}
+
+func (t *fuzzTicker) clamp() {
+	if t.period == 0 {
+		t.period = 1
+	}
+	if t.counter >= t.period {
+		t.counter = t.period - 1
+	}
+}
+
+func (t *fuzzTicker) Tick(m *Machine) {
+	t.clamp()
+	if t.counter > 0 {
+		t.counter--
+		return
+	}
+	t.counter = t.period - 1
+	t.fires++
+	switch t.pin % 3 {
+	case 0:
+		m.RaiseNMI()
+	case 1:
+		m.RaiseReset()
+	default:
+		m.RaiseIRQ(t.pin)
+	}
+}
+
+func (t *fuzzTicker) Quiet() int {
+	if t.period == 0 {
+		return 0
+	}
+	return int(min(t.counter, t.period-1))
+}
+
+func (t *fuzzTicker) Skip(k int) {
+	if k > 0 {
+		t.clamp()
+		t.counter -= uint32(k)
+	}
+}
+
+// reloadPort reads and reloads a fuzzTicker through a port: In returns
+// its counter and Out sets it, so what a port access sees, and the
+// horizon after it, depend on the ticks settled before it.
+type reloadPort struct{ t *fuzzTicker }
+
+func (p reloadPort) In(uint16) uint16       { return uint16(p.t.counter) }
+func (p reloadPort) Out(_ uint16, v uint16) { p.t.counter = uint32(v) }
+
+// compareTickers asserts the two machines' fuzz tickers agree.
+func compareTickers(t *testing.T, tk [2][]*fuzzTicker, tag string) {
+	t.Helper()
+	for j := range tk[0] {
+		if *tk[0][j] != *tk[1][j] {
+			t.Fatalf("%s: ticker %d diverged:\nsuperblock: %+v\n    interp: %+v", tag, j, *tk[0][j], *tk[1][j])
+		}
+	}
+}
+
 // FuzzSuperblockDifferential drives the superblock engine and the
 // reference interpreter through the same fuzz-chosen schedule of
-// stores, corruptions, AfterStep hooks and steps, applied identically
-// to both. Batches go through Run in fuzz-chosen sizes — the turbo
-// lane, block chaining and bails — so cursors are left mid-block across
+// stores, corruptions, AfterStep hooks, tickers and steps, applied
+// identically to both. Batches go through Run in fuzz-chosen sizes —
+// the turbo lane up to the tickers' quiet horizon, the halted idle,
+// block chaining and bails — so cursors are left mid-block across
 // mutations; single Steps compare events on every step; an installed
 // hook routes steps through the full skeleton and, at a fuzz-chosen
 // step, pokes the code region and/or rewrites IP from inside the step
-// loop. No engine may ever serve a stale instruction, so the two
-// machines must agree on every event and end bit-identical.
+// loop. Tickers (fuzz-chosen period, counter and pin) have their
+// counters corrupted between batches and can be read and reloaded
+// through a mapped port. No engine may ever serve a stale instruction
+// or a late tick, so the two machines must agree on every event and
+// end bit-identical, tickers included.
 func FuzzSuperblockDifferential(f *testing.F) {
 	// Seeds: plain stepping, self-modifying stosb soup, store-then-step
 	// interleavings, fault-heavy schedules, and hook pokes and IP
@@ -91,6 +163,30 @@ func FuzzSuperblockDifferential(f *testing.F) {
 		nops = append(nops, 0, i, 0x00, byte(isa.OpNop))
 	}
 	f.Add(append(nops, 8, 2, 0x03, 0x00, byte(isa.OpHlt), 0, 7, 15))
+	// Tickers. A deadline reached while halted, with the NMI counter
+	// still running down from a delivered NMI (the bulk idle must drop
+	// it exactly as the per-step loop does); a period-0 ticker and a
+	// corrupted out-of-range counter while halted; then a loop at the
+	// reset ip whose out/in read and reload a ticker through its port
+	// while a second ticker counts down, with counters corrupted
+	// between batches.
+	f.Add([]byte{9, 30, 29, 0, 0, 4, 7, 0, 6, 0, 1, 63, 1, 63, 1, 63, 1, 63})
+	f.Add([]byte{9, 0, 0xFF, 0xFF, 1, 6, 0, 1, 20, 10, 0x80, 5, 0, 9, 40, 7, 0, 2, 6, 2, 1, 63, 1, 63})
+	loop := prog(
+		isa.Inst{Op: isa.OpIncR, R1: r(isa.AX)},
+		isa.Inst{Op: isa.OpNop},
+		isa.Inst{Op: isa.OpOutI, Imm: 0x42},
+		isa.Inst{Op: isa.OpInI, Imm: 0x42},
+		isa.Inst{Op: isa.OpNop},
+		isa.Inst{Op: isa.OpJmp, Imm: 0},
+	)
+	var portSeed []byte
+	for i, b := range loop {
+		portSeed = append(portSeed, 0, byte(i), 0x00, b)
+	}
+	portSeed = append(portSeed, 3, 0, 20, 9, 50, 12, 0, 0, 11, 0x42, 9, 90, 80, 0, 2)
+	portSeed = append(portSeed, bytes.Repeat([]byte{1, 63, 10, 1, 7, 0, 1, 47, 7, 3}, 6)...)
+	f.Add(portSeed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pair := newPairMachines(t, Options{
@@ -116,13 +212,15 @@ func FuzzSuperblockDifferential(f *testing.F) {
 			data = data[1:]
 			return b, true
 		}
+		// tk holds each machine's fuzz tickers, in registration order.
+		var tk [2][]*fuzzTicker
 		steps := 0
 		for steps < 50000 {
 			op, ok := pop()
 			if !ok {
 				break
 			}
-			switch op % 9 {
+			switch op % 12 {
 			case 0: // poke a byte near the code region (fault injection)
 				lo, _ := pop()
 				hi, _ := pop()
@@ -135,6 +233,7 @@ func FuzzSuperblockDifferential(f *testing.F) {
 				pairDo(pair, func(m *Machine) { m.Run(k) })
 				steps += k
 				comparePairCPU(t, pair, "fuzz batch")
+				compareTickers(t, tk, "fuzz batch")
 			case 2: // corrupt IP
 				lo, _ := pop()
 				hi, _ := pop()
@@ -195,11 +294,45 @@ func FuzzSuperblockDifferential(f *testing.F) {
 						}
 					}
 				})
+			case 9: // register a countdown ticker: period, counter, pin
+				period, _ := pop()
+				lo, _ := pop()
+				hi, _ := pop()
+				pin, _ := pop()
+				for i, m := range pair {
+					tr := &fuzzTicker{period: uint32(period), counter: uint32(hi)<<8 | uint32(lo), pin: pin}
+					tk[i] = append(tk[i], tr)
+					m.AddTicker(tr)
+				}
+			case 10: // corrupt a ticker's counter (sel&0x80: out of range)
+				sel, _ := pop()
+				lo, _ := pop()
+				hi, _ := pop()
+				if len(tk[0]) == 0 {
+					break
+				}
+				j := int(sel&0x7F) % len(tk[0])
+				v := uint32(hi)<<8 | uint32(lo)
+				if sel&0x80 != 0 {
+					v = ^v
+				}
+				for i := range pair {
+					tk[i][j].counter = v
+				}
+			case 11: // map a port that reads and reloads the newest ticker
+				port, _ := pop()
+				if len(tk[0]) == 0 {
+					break
+				}
+				for i, m := range pair {
+					m.MapPort(uint16(port), reloadPort{tk[i][len(tk[i])-1]})
+				}
 			}
 		}
 		// Drain: a final burst so late mutations get executed.
 		pairDo(pair, func(m *Machine) { m.Run(256) })
 		comparePair(t, pair, "fuzz final")
+		compareTickers(t, tk, "fuzz final")
 	})
 }
 

@@ -175,8 +175,20 @@ type PortDevice interface {
 // Ticker is a device driven by the system clock. Tick is called once
 // per machine step, before the processor acts, and may raise interrupt
 // pins.
+//
+// Quiet and Skip are the ticker's quiet horizon, which lets the step
+// loop retire in bulk the steps on which the device provably does
+// nothing visible. Quiet reports how many upcoming Ticks are pure
+// countdowns: no pin raised, no memory or machine access, no effect
+// outside the device's own counter. It must not change the device.
+// Skip(k), for 0 <= k <= Quiet(), applies k such Ticks at once and
+// must leave the device exactly as k calls of Tick would, clamps of a
+// corrupted counter included. A device that can promise nothing
+// returns 0 from Quiet and is then ticked on every step.
 type Ticker interface {
 	Tick(m *Machine)
+	Quiet() int
+	Skip(k int)
 }
 
 // Pin bits for Machine.pins: latched external events awaiting the
@@ -204,6 +216,14 @@ type Machine struct {
 	// per-instruction in/out path.
 	ports   []portBinding
 	tickers []Ticker
+
+	// Ticker settlement (step.go fastForward): while laneOpen, the
+	// turbo lane is retiring steps without ticking the tickers, which
+	// were last brought up to date at Stats.Steps == laneBase. Port
+	// accesses settle them first (settle), since a device may read or
+	// reload a ticker.
+	laneOpen bool
+	laneBase uint64
 
 	// pageGens is the bus's write-generation array, cached so block
 	// validation is plain array loads. fetched is the scratch slot the
@@ -381,8 +401,12 @@ func (m *Machine) SetIDTEntry(n uint8, target SegOff) {
 }
 
 // portIn services IN; unmapped ports read as all-ones, like a floating
-// bus.
+// bus. Like portOut it settles the tickers first when the turbo lane
+// has left them behind.
 func (m *Machine) portIn(port uint16) uint16 {
+	if m.laneOpen {
+		m.settle()
+	}
 	for i := range m.ports {
 		if m.ports[i].port == port {
 			return m.ports[i].dev.In(port)
@@ -393,6 +417,9 @@ func (m *Machine) portIn(port uint16) uint16 {
 
 // portOut services OUT; writes to unmapped ports are dropped.
 func (m *Machine) portOut(port uint16, v uint16) {
+	if m.laneOpen {
+		m.settle()
+	}
 	for i := range m.ports {
 		if m.ports[i].port == port {
 			m.ports[i].dev.Out(port, v)

@@ -32,24 +32,24 @@ func (m *Machine) Run(n int) *Machine {
 // slot is served by the superblock engine (sbExec) when it is on and
 // by the reference interpreter (execute) when it is off.
 //
-// While the skeleton provably has no work besides the instruction — no
-// AfterStep hook, no tickers, no latched pins, not halted — steps
-// retire through the engine's turbo lane (sbTurbo), which chains block
-// to block and re-checks those conditions at every block boundary, the
-// only place an instruction can change them (port I/O, hlt and int are
-// serialize points, hence block-final). Every condition is a live
-// machine field re-read per iteration, so a hook, ticker or engine
-// switch installed mid-run is honoured from the very next step.
+// With the engine on, no AfterStep hook and no latched pin, the steps
+// up to the tickers' quiet horizon have no skeleton work besides the
+// instruction, and fastForward retires them in bulk: through the
+// engine's turbo lane (sbTurbo) while running, in O(1) while halted.
+// The step on which a ticker acts runs the full skeleton, so its Tick
+// fires exactly where the per-step loop fires it. Every condition is a
+// live machine field re-read per iteration, so a hook, ticker or
+// engine switch installed mid-run is honoured from the very next step.
+// With the engine off the loop ticks every ticker on every step: the
+// reference the differential suites hold the bulk paths against.
 //
 //ssos:hotpath
 func (m *Machine) run(n int) Event {
 	var ev Event
 	for done := 0; done < n; done++ {
-		if m.AfterStep == nil && m.pins == 0 && !m.CPU.Halted && len(m.tickers) == 0 {
-			if b := m.sbCur; b != nil {
-				if done, ev = m.sbTurbo(b, done, n); done >= n {
-					return ev
-				}
+		if m.AfterStep == nil && m.pins == 0 && m.sblocks != nil && (m.CPU.Halted || m.sbCur != nil) {
+			if done, ev = m.fastForward(done, n); done >= n {
+				return ev
 			}
 		}
 		m.Stats.Steps++
@@ -89,6 +89,65 @@ func (m *Machine) run(n int) Event {
 		}
 	}
 	return ev
+}
+
+// fastForward retires steps done, done+1, ... in bulk, up to the
+// tickers' quiet horizon: a halted processor idles them in O(1) — the
+// Steps and HaltTicks counters grow and the NMI counter drops by the
+// horizon, clamped at zero, as that many halted steps would leave them
+// — and a running one retires them through the turbo lane, which stops
+// early at anything the skeleton must handle. Either way the tickers
+// are then settled by the number of steps taken. It returns the step
+// index reached and the last step's event (meaningful only if a step
+// was taken). run guarantees the engine is on, no AfterStep hook is
+// installed, no pin is latched, and the processor is halted or has a
+// current block.
+func (m *Machine) fastForward(done, n int) (int, Event) {
+	h := m.horizon(n - done)
+	if h <= 0 {
+		return done, 0
+	}
+	if m.CPU.Halted {
+		m.Stats.Steps += uint64(h)
+		m.Stats.HaltTicks += uint64(h)
+		if m.Opts.NMICounter {
+			m.CPU.NMICounter -= uint16(min(int(m.CPU.NMICounter), h))
+		}
+		for _, t := range m.tickers {
+			t.Skip(h)
+		}
+		return done + h, EventHalted
+	}
+	var ev Event
+	m.laneOpen, m.laneBase = true, m.Stats.Steps
+	done, ev = m.sbTurbo(m.sbCur, done, done+h, n)
+	m.settle()
+	m.laneOpen = false
+	return done, ev
+}
+
+// horizon returns how many of the next limit steps every ticker sits
+// out: the minimum of limit and each ticker's Quiet.
+func (m *Machine) horizon(limit int) int {
+	for _, t := range m.tickers {
+		if q := t.Quiet(); q < limit {
+			limit = q
+		}
+	}
+	return limit
+}
+
+// settle brings the tickers up to date with the steps the turbo lane
+// retired since laneBase. The lane never runs past the horizon, so
+// each of those steps was a pure countdown for every ticker and Skip
+// applies them at once.
+func (m *Machine) settle() {
+	if k := int(m.Stats.Steps - m.laneBase); k > 0 {
+		for _, t := range m.tickers {
+			t.Skip(k)
+		}
+	}
+	m.laneBase = m.Stats.Steps
 }
 
 // RunUntil steps the machine until pred returns true or limit steps

@@ -25,12 +25,16 @@ import (
 //     skeleton for every step, with only the instruction slot served
 //     by the engine (sbExec). Its turbo lane (sbTurbo) elides the
 //     skeleton checks that are provably dead — no AfterStep hook, no
-//     tickers registered, no pins latched, not halted — and
-//     re-establishes them at every block boundary, the only place an
-//     instruction can violate them (port I/O, hlt and int are
-//     serialize points, hence always block-final). Interrupts, resets,
-//     halts, device ticks and hooks therefore act between any two
-//     entries, exactly as they act between any two interpreter steps.
+//     pins latched, not halted, no ticker due to act: the lane stops at
+//     the tickers' quiet horizon (Ticker.Quiet) and their countdown
+//     ticks are settled in bulk (Ticker.Skip) — and re-establishes
+//     them at every block boundary,
+//     the only place an instruction can violate them (port I/O, hlt and
+//     int are serialize points, hence always block-final; a port access
+//     settles the tickers before its device runs). Interrupts, resets,
+//     halts, acting device ticks and hooks therefore act between any
+//     two entries, exactly as they act between any two interpreter
+//     steps.
 //   - Per-entry validation: before an entry runs, the engine checks
 //     that the live cs:ip still addresses that entry. The check is
 //     (e.ip == c.IP && e.lin == linear(cs, ip)): since cs<<4 ≡ lin−ip
@@ -135,36 +139,50 @@ func (m *Machine) SetSuperblocks(on bool) {
 }
 
 // sbTurbo retires consecutive entries of the current block b, one per
-// step, starting at step index done and stopping at n. Preconditions
-// (established by run, invariant between block boundaries):
-// AfterStep nil, no tickers, no latched pins, not halted. Each
-// iteration performs exactly one Step: Stats.Steps, the per-entry
-// validation, the entry's opFn, the NMI-counter decrement, and the
-// trailing AfterStep check; the skeleton's remaining checks are dead
-// under the preconditions.
+// step, starting at step index done and stopping at stop, the quiet
+// horizon's end (n is run's budget, for re-reading the horizon).
+// Preconditions (established by fastForward, invariant between block
+// boundaries): AfterStep nil, no latched pins, not halted, and no
+// ticker acts on any of the steps before stop. Each iteration performs
+// exactly one Step: Stats.Steps, the per-entry validation, the entry's
+// opFn, the NMI-counter decrement, and the trailing AfterStep check;
+// the skeleton's remaining checks are dead under the preconditions,
+// and the ticks are settled in bulk afterwards (or by a port access).
 //
 // At a block boundary (the block exhausted), the loop keeps going
 // without dropping out: the only instructions with skeleton-visible side
-// effects — port I/O ticking a device that latches a pin or installs a
-// ticker, hlt, int — are serialize points and hence block-final, so the
-// preconditions are re-checked exactly there, and then control chains
-// to the successor block: the block itself for a loop back-edge, the
-// cached succ hint, or a table probe. Every chained entry revalidates
-// (lin, ip) and span freshness just as sbEnter would; only an unbuilt,
-// stale or negative successor drops to run's full skeleton, which
-// rebuilds via sbEnter. Returns the number of steps done and the last
-// retired step's event (meaningful only if at least one step retired).
-func (m *Machine) sbTurbo(b *superblock, done, n int) (int, Event) {
+// effects — port I/O ticking a device that latches a pin, reloads a
+// ticker or installs a hook, hlt, int — are serialize points and hence
+// block-final, so the preconditions are re-checked exactly there: pins,
+// halt and the engine switch always, and the horizon when a port access
+// has settled the tickers since the lane last read it (laneBase moved).
+// Then control chains to the successor block: the block itself for a
+// loop back-edge, the cached succ hint, or a table probe. Every chained
+// entry revalidates (lin, ip) and span freshness just as sbEnter would;
+// only an unbuilt, stale or negative successor drops to run's full
+// skeleton, which rebuilds via sbEnter. Returns the number of steps done
+// and the last retired step's event (meaningful only if at least one
+// step retired).
+func (m *Machine) sbTurbo(b *superblock, done, stop, n int) (int, Event) {
 	c := &m.CPU
 	i := m.sbIdx
+	base := m.laneBase
 	var ev Event
-	for done < n {
+	for done < stop {
 		entered := false
 		if i >= len(b.ins) {
 			// Block boundary: re-establish the skeleton preconditions
 			// that a block-final instruction may have violated, then chain.
-			if m.pins != 0 || c.Halted || len(m.tickers) != 0 || m.sblocks == nil {
+			if m.pins != 0 || c.Halted || m.sblocks == nil {
 				break
+			}
+			if m.laneBase != base {
+				// A port access settled the tickers, and its device may
+				// have reloaded one: re-read the horizon from here.
+				base = m.laneBase
+				if stop = done + m.horizon(n-done); done >= stop {
+					break
+				}
 			}
 			ip := c.IP
 			lin := (uint32(c.S[isa.CS])<<4 + uint32(ip)) & mem.AddrMask
@@ -232,8 +250,8 @@ func (m *Machine) sbTurbo(b *superblock, done, n int) (int, Event) {
 				m.sbIdx = i
 				return done, ev
 			}
-			if done >= n || i >= len(b.ins) {
-				break // budget or boundary: the outer loop handles both
+			if done >= stop || i >= len(b.ins) {
+				break // horizon or boundary: the outer loop handles both
 			}
 			e = &b.ins[i]
 			if *m.busStamp != m.sbStamp && !m.sbRevalidate(b) {
@@ -252,7 +270,7 @@ func (m *Machine) sbTurbo(b *superblock, done, n int) (int, Event) {
 // block's next entry if it provably matches the live configuration,
 // else a freshly entered (or rebuilt) block at cs:ip, else one
 // interpreter instruction. It serves every step the turbo lane cannot:
-// steps with tickers registered, an AfterStep hook installed (fault
+// steps on which a ticker acts, an AfterStep hook installed (fault
 // windows, monitors, samplers), pins latched, the first step after a
 // halt or a turbo bail. The full per-entry (lin, ip, write
 // stamp) check makes whatever a ticker, device or hook mutated between

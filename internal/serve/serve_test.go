@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ssos/internal/cluster"
 	"ssos/internal/core"
@@ -551,5 +552,47 @@ func TestOversizedBodyRejected(t *testing.T) {
 	}
 	if statusAfter := apiOK(t, "GET", ts.URL+"/api/sessions/"+id, ""); !bytes.Equal(statusAfter, statusBefore) {
 		t.Errorf("session state changed by rejected requests:\nbefore: %s\n after: %s", statusBefore, statusAfter)
+	}
+}
+
+// TestStreamOutlivesReadTimeout holds an SSE subscription open past
+// the server's ReadTimeout, as cmd/ssos-serve configures one: the
+// timeout bounds reading the request only (net/http lifts the read
+// deadline once the body is consumed and it starts watching for a
+// client hang-up), so a live stream keeps delivering frames after it.
+func TestStreamOutlivesReadTimeout(t *testing.T) {
+	reg := NewRegistry(Options{Workers: 1})
+	ts := httptest.NewUnstartedServer(NewServer(reg))
+	ts.Config.ReadTimeout = 100 * time.Millisecond
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		reg.Shutdown(context.Background()) //nolint:errcheck
+	})
+	id := createSession(t, ts.URL, `{"image":"reinstall","seed":3}`)
+
+	resp, err := http.Get(ts.URL + "/api/sessions/" + id + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	time.Sleep(4 * ts.Config.ReadTimeout)
+	apiOK(t, "POST", ts.URL+"/api/sessions/"+id+"/run", `{"steps":70000}`)
+
+	sess, ok := reg.Get(id)
+	if !ok {
+		t.Fatal("session missing")
+	}
+	events := sess.EventsSince(0)
+	if len(events) == 0 {
+		t.Fatal("run produced no events to stream")
+	}
+	want := AppendSSE(nil, Frame{Seq: 0, Ev: events[0]})
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(resp.Body, got); err != nil {
+		t.Fatalf("stream ended after the read timeout: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("first live frame:\ngot:  %q\nwant: %q", got, want)
 	}
 }

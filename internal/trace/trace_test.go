@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,6 +47,47 @@ func TestViolationsDetectSkipAndGapAndSilence(t *testing.T) {
 	}
 	if v := spec.Violations(nil, 50); len(v) != 0 {
 		t.Fatalf("early silence should be fine: %v", v)
+	}
+}
+
+// TestViolationsSurviveTrimBefore: every violation stamped at or after
+// the cut is the same on a console trimmed there (dev.Console.TrimBefore)
+// as on the whole stream, the property the cluster's voter relies on.
+func TestViolationsSurviveTrimBefore(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		var step uint64
+		c := dev.NewConsole(func() uint64 { return step }, 0)
+		v := uint16(0)
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			step += 1 + uint64(rng.Intn(30)) // gaps around MaxGap
+			switch rng.Intn(8) {
+			case 0:
+				v = 0 // restart
+			case 1:
+				v += 2 // skipped beat
+			default:
+				v++
+			}
+			c.Out(0, v)
+		}
+		now := step + uint64(rng.Intn(30))
+		cut := uint64(rng.Intn(int(now) + 2))
+		spec := HeartbeatSpec{MaxGap: 20, AllowRestart: trial%2 == 0}
+		since := func(vs []Violation) []Violation {
+			var out []Violation
+			for _, x := range vs {
+				if x.Step >= cut {
+					out = append(out, x)
+				}
+			}
+			return out
+		}
+		want := since(spec.Violations(c.Writes(), now))
+		c.TrimBefore(cut)
+		if got := since(spec.Violations(c.Writes(), now)); !slices.Equal(got, want) {
+			t.Fatalf("trial %d cut %d: trimmed stream gives %v, whole stream %v", trial, cut, got, want)
+		}
 	}
 }
 
