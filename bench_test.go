@@ -13,6 +13,7 @@ import (
 	"ssos/internal/isa"
 	"ssos/internal/mem"
 	"ssos/internal/obs"
+	"ssos/internal/trace"
 )
 
 // Experiment benchmarks: one per DESIGN.md experiment, running the
@@ -199,6 +200,18 @@ func BenchmarkMachineStepProbed(b *testing.B) {
 // scheduler context-switching every quantum.
 func BenchmarkMachineStepScheduler(b *testing.B) {
 	s := core.MustNew(core.Config{Approach: core.ApproachScheduler})
+	s.Run(10000)
+	b.ResetTimer()
+	s.Run(b.N)
+}
+
+// BenchmarkMachineStepSampled is BenchmarkMachineStepScheduler with a
+// PC sampler attached, one range per process (the E7/E11 fairness
+// measurement). The step engine counts per retired entry, so sampled
+// steps keep the turbo lane; the gate is 1.3x BenchmarkMachineStep.
+func BenchmarkMachineStepSampled(b *testing.B) {
+	s := core.MustNew(core.Config{Approach: core.ApproachScheduler})
+	trace.NewPCSampler(core.ProcRanges()...).Attach(s.M)
 	s.Run(10000)
 	b.ResetTimer()
 	s.Run(b.N)

@@ -51,17 +51,8 @@ func scheduler() {
 	fmt.Println("== part 2: self-stabilizing scheduler (5.2, Figures 2-5) ==")
 	sys := core.MustNew(core.Config{Approach: core.ApproachScheduler})
 
-	var ranges []trace.Range
-	for i := 0; i < guest.NumProcs; i++ {
-		base := uint32(guest.ProcCodeSeg(i)) << 4
-		ranges = append(ranges, trace.Range{
-			Name:  fmt.Sprintf("p%d", i),
-			Start: base,
-			End:   base + guest.ProcRegionSize,
-		})
-	}
-	sampler := trace.NewPCSampler(ranges...)
-	sys.M.AfterStep = sampler.Observe
+	sampler := trace.NewPCSampler(core.ProcRanges()...)
+	sampler.Attach(sys.M)
 
 	sys.Run(400000)
 	fmt.Printf("quantum %d steps, %d context switches so far\n",

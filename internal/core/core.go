@@ -335,6 +335,18 @@ func (s *System) ProcSpec(i int) trace.HeartbeatSpec {
 	}
 }
 
+// ProcRanges returns one PC range per scheduled process's code region,
+// named p0, p1, ...: the fairness accounting of approach 3 systems, for
+// trace.NewPCSampler.
+func ProcRanges() []trace.Range {
+	ranges := make([]trace.Range, guest.NumProcs)
+	for p := range ranges {
+		base := uint32(guest.ProcCodeSeg(p)) << 4
+		ranges[p] = trace.Range{Name: fmt.Sprintf("p%d", p), Start: base, End: base + guest.ProcRegionSize}
+	}
+	return ranges
+}
+
 // busWithROMs creates the memory bus with the fault-on-ROM-store
 // policy the tailored designs rely on (anomalous stores become
 // exceptions that the stabilizer handles).

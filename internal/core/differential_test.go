@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ssos/internal/fault"
 	"ssos/internal/isa"
+	"ssos/internal/machine"
 	"ssos/internal/mem"
 	"ssos/internal/obs"
 )
@@ -234,7 +236,8 @@ func TestDecodeCacheDifferential(t *testing.T) {
 // attaches a fault.Injector Rate hook with the same seed to both
 // systems of the first three configurations, so every step runs the
 // full skeleton with an AfterStep hook striking random faults from
-// inside the step loop.
+// inside the step loop. The scheduler configurations attach a
+// per-process PC histogram to both systems and compare it every batch.
 func TestSuperblockDifferentialRunBatches(t *testing.T) {
 	batches, trials := 600, 4
 	if testing.Short() {
@@ -271,6 +274,13 @@ func TestSuperblockDifferentialRunBatches(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				if trial%2 == 1 {
 					p.randomizeSame(rng)
+				}
+				var hist [2]*machine.PCHistogram
+				if c.cfg.Approach == ApproachScheduler {
+					for i, s := range p.sys {
+						hist[i] = machine.NewPCHistogram(ProcRanges()...)
+						s.M.PCHist = hist[i]
+					}
 				}
 				for b := 0; b < batches; b++ {
 					if rng.Intn(5) == 0 {
@@ -310,6 +320,11 @@ func TestSuperblockDifferentialRunBatches(t *testing.T) {
 					// Cheap per-batch agreement; full compare at trial end.
 					if p.sys[0].M.CPU != p.sys[1].M.CPU || tickerState(p.sys[0]) != tickerState(p.sys[1]) {
 						p.compare(t, tag+"/batch")
+					}
+					if h := hist; h[0] != nil && (!slices.Equal(h[0].Counts, h[1].Counts) ||
+						h[0].Other != h[1].Other || h[0].Total != h[1].Total) {
+						t.Fatalf("%s/batch %d: PC histogram diverged:\nsuperblock: %v other=%d total=%d\n    interp: %v other=%d total=%d",
+							tag, b, h[0].Counts, h[0].Other, h[0].Total, h[1].Counts, h[1].Other, h[1].Total)
 					}
 				}
 				p.compare(t, tag+"/final")

@@ -37,17 +37,8 @@ func TestSchedulerRunsAllProcesses(t *testing.T) {
 
 func TestSchedulerFairness(t *testing.T) {
 	s := MustNew(Config{Approach: ApproachScheduler})
-	var ranges []trace.Range
-	for i := 0; i < guest.NumProcs; i++ {
-		base := uint32(guest.ProcCodeSeg(i)) << 4
-		ranges = append(ranges, trace.Range{
-			Name:  "proc",
-			Start: base,
-			End:   base + guest.ProcRegionSize,
-		})
-	}
-	sampler := trace.NewPCSampler(ranges...)
-	s.M.AfterStep = sampler.Observe
+	sampler := trace.NewPCSampler(ProcRanges()...)
+	sampler.Attach(s.M)
 	s.Run(500000)
 	// Lemma 5.3: every process executes infinitely often; with a
 	// round-robin quantum each should get a near-equal share of the
@@ -70,7 +61,7 @@ func TestSchedulerFairnessWithUnequalProcessLengths(t *testing.T) {
 		trace.Range{Name: "p0", Start: r0, End: r0 + guest.ProcRegionSize},
 		trace.Range{Name: "p2", Start: r2, End: r2 + guest.ProcRegionSize},
 	)
-	s.M.AfterStep = sampler.Observe
+	sampler.Attach(s.M)
 	s.Run(500000)
 	s0, s2 := sampler.Share(0), sampler.Share(1)
 	if s0 < 0.15 || s2 < 0.15 {

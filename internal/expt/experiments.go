@@ -257,11 +257,17 @@ func E4MonitorRepair(o Options) *Table {
 			in.CorruptSegment()
 		}},
 	}
+	type e4result struct {
+		res       recoveryResult
+		detect    uint64
+		detected  bool
+		preserved bool
+	}
 	for _, c := range classes {
 		var ts trialSet
 		var detects []uint64
 		preserved := 0
-		for i := 0; i < trials; i++ {
+		forEachTrial(trials, func(i int) interface{} {
 			s := core.MustNew(core.Config{Approach: core.ApproachMonitor})
 			s.Run(60000 + i*119)
 			var preFault uint16
@@ -273,19 +279,28 @@ func E4MonitorRepair(o Options) *Table {
 			faultStep := s.Steps()
 			s.Run(horizon)
 			step, ok := s.Spec().RecoveredAfter(s.Heartbeat.Writes(), faultStep, 10)
-			ts.add(recoveryResult{recovered: ok, latency: step - faultStep})
+			out := e4result{res: recoveryResult{recovered: ok, latency: step - faultStep}}
 			if c.repair != 0 {
 				for _, r := range s.Repairs.Writes() {
 					if r.Value == c.repair && r.Step >= faultStep {
-						detects = append(detects, r.Step-faultStep)
+						out.detect, out.detected = r.Step-faultStep, true
 						break
 					}
 				}
 			}
-			if w := s.Heartbeat.Writes(); ok && len(w) > 0 && w[len(w)-1].Value > preFault {
+			w := s.Heartbeat.Writes()
+			out.preserved = ok && len(w) > 0 && w[len(w)-1].Value > preFault
+			return out
+		}, func(_ int, r interface{}) {
+			er := r.(e4result)
+			ts.add(er.res)
+			if er.detected {
+				detects = append(detects, er.detect)
+			}
+			if er.preserved {
 				preserved++
 			}
-		}
+		})
 		repairName := "-"
 		detect := "-"
 		if c.repair != 0 {
@@ -567,13 +582,8 @@ func E7Scheduler(o Options) *Table {
 			inj := fault.NewInjector(s.M, o.Seed+int64(i))
 			inject(s, inj)
 			faultStep := s.Steps()
-			var ranges []trace.Range
-			for p := 0; p < guest.NumProcs; p++ {
-				base := uint32(guest.ProcCodeSeg(p)) << 4
-				ranges = append(ranges, trace.Range{Name: "p", Start: base, End: base + guest.ProcRegionSize})
-			}
-			sampler := trace.NewPCSampler(ranges...)
-			s.M.AfterStep = sampler.Observe
+			sampler := trace.NewPCSampler(core.ProcRanges()...)
+			sampler.Attach(s.M)
 			s.Run(horizon)
 			out := e7result{share: sampler.MinShare()}
 			if step, ok := procRecovered(s, faultStep, 3); ok {
@@ -620,7 +630,7 @@ func E8Overhead(o Options) (*Table, *Series) {
 		sampler := trace.NewPCSampler(trace.Range{
 			Name: "sched", Start: romBase, End: romBase + uint32(len(s.Sched.Prog.Code)),
 		})
-		s.M.AfterStep = sampler.Observe
+		sampler.Attach(s.M)
 		s.Run(horizon)
 		share := sampler.Share(0)
 		t.AddRow(fmt.Sprint(q), fmt.Sprintf("%.4f", share),

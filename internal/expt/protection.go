@@ -33,6 +33,11 @@ func E11Protection(o Options) *Table {
 	horizon := o.horizon(600000)
 	const corruptEvery = 7001 // prime, to wander across quanta phases
 
+	type e11result struct {
+		viol  int
+		exc   uint64
+		share float64
+	}
 	for _, variant := range []struct {
 		name    string
 		protect bool
@@ -43,52 +48,35 @@ func E11Protection(o Options) *Table {
 		totalViol := 0
 		var totalExc uint64
 		minShare := 1.0
-		for i := 0; i < trials; i++ {
+		forEachTrial(trials, func(i int) interface{} {
 			s := core.MustNew(core.Config{
 				Approach:      core.ApproachScheduler,
 				ProtectMemory: variant.protect,
 				ValidateDS:    true, // both variants pin record ds (isolate the window effect)
 			})
 			s.Run(60000 + i*317)
+			sampler := trace.NewPCSampler(core.ProcRanges()...)
+			sampler.Attach(s.M)
+			// The fault strikes between steps corruptEvery and
+			// corruptEvery+1 from here, and every corruptEvery after.
+			s.M.AddTicker(&strayDS{left: corruptEvery + 1, every: corruptEvery})
 
-			var ranges []trace.Range
-			for p := 0; p < guest.NumProcs; p++ {
-				base := uint32(guest.ProcCodeSeg(p)) << 4
-				ranges = append(ranges, trace.Range{Name: "p", Start: base, End: base + guest.ProcRegionSize})
-			}
-			sampler := trace.NewPCSampler(ranges...)
-			s.M.AfterStep = sampler.Observe
-
-			victim := 0
-			countdown := corruptEvery
-			prev := s.M.AfterStep
-			s.M.AfterStep = func(m *machine.Machine, ev machine.Event) {
-				if prev != nil {
-					prev(m, ev)
-				}
-				countdown--
-				if countdown > 0 {
-					return
-				}
-				countdown = corruptEvery
-				// Stray-aliasing fault: the running code's ds now
-				// addresses another process's data area.
-				victim = (victim + 1) % guest.RingMembers
-				m.CPU.S[isa.DS] = guest.ProcDataSeg(victim)
-			}
 			excBefore := s.M.Stats.Exceptions
 			s.Run(horizon)
-			s.M.AfterStep = prev
-			if sh := sampler.MinShare(); sh < minShare {
-				minShare = sh
-			}
-
+			out := e11result{exc: s.M.Stats.Exceptions - excBefore, share: sampler.MinShare()}
 			for p := 0; p < guest.NumProcs; p++ {
 				w := s.ProcBeats[p].Writes()
-				totalViol += len(s.ProcSpec(p).Violations(w, s.Steps()))
+				out.viol += len(s.ProcSpec(p).Violations(w, s.Steps()))
 			}
-			totalExc += s.M.Stats.Exceptions - excBefore
-		}
+			return out
+		}, func(_ int, r interface{}) {
+			er := r.(e11result)
+			totalViol += er.viol
+			totalExc += er.exc
+			if er.share < minShare {
+				minShare = er.share
+			}
+		})
 		t.AddRow(variant.name, fmt.Sprint(trials), fmt.Sprint(totalViol),
 			fmt.Sprint(totalExc), fmt.Sprintf("%.2f", minShare))
 	}
@@ -99,3 +87,26 @@ func E11Protection(o Options) *Table {
 			"the scheduler's exception path absorbs.")
 	return t
 }
+
+// strayDS is E11's fault process, a clock-driven device: on every
+// every-th tick it points the running code's ds at the next victim
+// process's data area (stray aliasing). left counts the ticks up to and
+// including the acting one, so the steps before it are pure countdowns
+// and run in the turbo lane.
+type strayDS struct {
+	left, every int
+	victim      int
+}
+
+func (d *strayDS) Tick(m *machine.Machine) {
+	if d.left--; d.left > 0 {
+		return
+	}
+	d.left = d.every
+	d.victim = (d.victim + 1) % guest.RingMembers
+	m.CPU.S[isa.DS] = guest.ProcDataSeg(d.victim)
+}
+
+func (d *strayDS) Quiet() int { return d.left - 1 }
+
+func (d *strayDS) Skip(k int) { d.left -= k }

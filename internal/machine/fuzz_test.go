@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ssos/internal/isa"
@@ -131,6 +132,19 @@ func compareTickers(t *testing.T, tk [2][]*fuzzTicker, tag string) {
 	}
 }
 
+// compareHists asserts the two machines' PC histograms agree, detached
+// ones included.
+func compareHists(t *testing.T, hs [2][]*PCHistogram, tag string) {
+	t.Helper()
+	for j := range hs[0] {
+		a, b := hs[0][j], hs[1][j]
+		if !slices.Equal(a.Counts, b.Counts) || a.Other != b.Other || a.Total != b.Total {
+			t.Fatalf("%s: PC histogram %d diverged:\nsuperblock: %v other=%d total=%d\n    interp: %v other=%d total=%d",
+				tag, j, a.Counts, a.Other, a.Total, b.Counts, b.Other, b.Total)
+		}
+	}
+}
+
 // FuzzSuperblockDifferential drives the superblock engine and the
 // reference interpreter through the same fuzz-chosen schedule of
 // stores, corruptions, AfterStep hooks, tickers and steps, applied
@@ -142,9 +156,16 @@ func compareTickers(t *testing.T, tk [2][]*fuzzTicker, tag string) {
 // step, pokes the code region and/or rewrites IP from inside the step
 // loop. Tickers (fuzz-chosen period, counter and pin) have their
 // counters corrupted between batches and can be read and reloaded
-// through a mapped port. No engine may ever serve a stale instruction
-// or a late tick, so the two machines must agree on every event and
-// end bit-identical, tickers included.
+// through a mapped port. PC histograms with fuzz-chosen ranges (empty,
+// overlapping, at the 1 MiB edge) are attached and detached between
+// batches. No engine may ever serve a stale instruction or a late
+// tick, so the two machines must agree on every event and end
+// bit-identical, tickers and histogram counts included.
+//
+// Op 12 (the histogram) moved the op modulus from 12 to 13. The only
+// existing seed byte that changes meaning is the last byte (20) of the
+// third seed: it was op 8, a hook with every argument zero; it is now
+// op 7, one single Step.
 func FuzzSuperblockDifferential(f *testing.F) {
 	// Seeds: plain stepping, self-modifying stosb soup, store-then-step
 	// interleavings, fault-heavy schedules, and hook pokes and IP
@@ -187,6 +208,31 @@ func FuzzSuperblockDifferential(f *testing.F) {
 	portSeed = append(portSeed, 3, 0, 20, 9, 50, 12, 0, 0, 11, 0x42, 9, 90, 80, 0, 2)
 	portSeed = append(portSeed, bytes.Repeat([]byte{1, 63, 10, 1, 7, 0, 1, 47, 7, 3}, 6)...)
 	f.Add(portSeed)
+	// PC histograms: overlapping, empty and 1 MiB-edge ranges over the
+	// background soup, detached and re-attached as one range reaching
+	// the top of memory; then the same over a nop loop at the reset ip
+	// that the turbo lane retires entry by entry.
+	f.Add([]byte{12, 4, 0x00, 0x00, 8, 0x04, 0x00, 8, 0x10, 0x00, 0, 0x0F, 0xC0, 0,
+		1, 63, 7, 20, 1, 63, 12, 0, 1, 40, 12, 1, 0x00, 0x40, 0, 1, 63})
+	nopLoop := append([]byte(nil), nops...)
+	nopLoop = append(nopLoop, 0, 8, 0x00, byte(isa.OpJmp), 0, 9, 0x00, 0, 0, 10, 0x00, 0)
+	nopLoop = append(nopLoop, 12, 2, 0x00, 0x00, 4, 0x02, 0x00, 8, 1, 63, 1, 63, 7, 10, 12, 0, 1, 63)
+	f.Add(nopLoop)
+	// Chaining into a negative block: P (nop; jmp 0x100) at the reset ip
+	// and H (nop; jmp 0) on the next page chain through each other's succ
+	// hints; H's head is then clobbered, so the next entry rebuilds its
+	// slot in place as a negative block and the exception parks the
+	// machine in ROM. A reset ticker returns to P, whose exhausted block
+	// must not follow the hint into H's empty entries.
+	chain := []byte{}
+	for i, b := range prog(isa.Inst{Op: isa.OpNop}, isa.Inst{Op: isa.OpJmp, Imm: 0x100}) {
+		chain = append(chain, 0, byte(i), 0x00, b)
+	}
+	for i, b := range prog(isa.Inst{Op: isa.OpNop}, isa.Inst{Op: isa.OpJmp, Imm: 0}) {
+		chain = append(chain, 0, byte(i), 0x01, b)
+	}
+	chain = append(chain, 1, 40, 0, 0x00, 0x01, 0xFF, 1, 10, 9, 50, 5, 0, 1, 1, 63, 1, 63, 7, 30)
+	f.Add(chain)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pair := newPairMachines(t, Options{
@@ -212,15 +258,17 @@ func FuzzSuperblockDifferential(f *testing.F) {
 			data = data[1:]
 			return b, true
 		}
-		// tk holds each machine's fuzz tickers, in registration order.
+		// tk holds each machine's fuzz tickers, in registration order;
+		// hs every PC histogram ever attached, detached ones included.
 		var tk [2][]*fuzzTicker
+		var hs [2][]*PCHistogram
 		steps := 0
 		for steps < 50000 {
 			op, ok := pop()
 			if !ok {
 				break
 			}
-			switch op % 12 {
+			switch op % 13 {
 			case 0: // poke a byte near the code region (fault injection)
 				lo, _ := pop()
 				hi, _ := pop()
@@ -234,6 +282,7 @@ func FuzzSuperblockDifferential(f *testing.F) {
 				steps += k
 				comparePairCPU(t, pair, "fuzz batch")
 				compareTickers(t, tk, "fuzz batch")
+				compareHists(t, hs, "fuzz batch")
 			case 2: // corrupt IP
 				lo, _ := pop()
 				hi, _ := pop()
@@ -327,12 +376,38 @@ func FuzzSuperblockDifferential(f *testing.F) {
 				for i, m := range pair {
 					m.MapPort(uint16(port), reloadPort{tk[i][len(tk[i])-1]})
 				}
+			case 12: // attach a PC histogram of sel%5 ranges; 0 detaches
+				sel, _ := pop()
+				if sel%5 == 0 {
+					pairDo(pair, func(m *Machine) { m.PCHist = nil })
+					break
+				}
+				var ranges []PCRange
+				for j := 0; j < int(sel%5); j++ {
+					lo, _ := pop()
+					hi, _ := pop()
+					n, _ := pop() // length; 0 is an empty range
+					start := 0x1000 + (uint32(hi&0x0F)<<8 | uint32(lo))
+					if hi&0x80 != 0 {
+						start = mem.AddrSpace - 1 - uint32(lo)
+					}
+					end := start + uint32(n)
+					if hi&0x40 != 0 {
+						end = mem.AddrSpace
+					}
+					ranges = append(ranges, PCRange{Start: start, End: end})
+				}
+				for i, m := range pair {
+					hs[i] = append(hs[i], NewPCHistogram(ranges...))
+					m.PCHist = hs[i][len(hs[i])-1]
+				}
 			}
 		}
 		// Drain: a final burst so late mutations get executed.
 		pairDo(pair, func(m *Machine) { m.Run(256) })
 		comparePair(t, pair, "fuzz final")
 		compareTickers(t, tk, "fuzz final")
+		compareHists(t, hs, "fuzz final")
 	})
 }
 

@@ -247,6 +247,11 @@ type Machine struct {
 	// event that occurred. Monitors and fault injectors hook here.
 	AfterStep func(m *Machine, ev Event)
 
+	// PCHist, when non-nil, is charged the post-step program counter
+	// of every instruction step (pchist.go). Unlike a hook it keeps
+	// steps in the turbo lane, which counts per retired entry.
+	PCHist *PCHistogram
+
 	// Probe, when non-nil, receives structured observability events
 	// from the interrupt, exception and reset paths (never from the
 	// per-instruction path, so an instrumented machine stays fast and

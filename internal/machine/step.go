@@ -27,10 +27,10 @@ func (m *Machine) Run(n int) *Machine {
 
 // run is the machine's only step loop: n iterations of the step
 // skeleton — Stats.Steps, device ticks, pin checks, halt ticks, the
-// instruction slot, the NMI-counter decrement and the trailing
-// AfterStep call — returning the last step's event. The instruction
-// slot is served by the superblock engine (sbExec) when it is on and
-// by the reference interpreter (execute) when it is off.
+// instruction slot, the NMI-counter decrement, the PCHist count and
+// the trailing AfterStep call — returning the last step's event. The
+// instruction slot is served by the superblock engine (sbExec) when it
+// is on and by the reference interpreter (execute) when it is off.
 //
 // With the engine on, no AfterStep hook and no latched pin, the steps
 // up to the tickers' quiet horizon have no skeleton work besides the
@@ -82,6 +82,9 @@ func (m *Machine) run(n int) Event {
 		// (NMI delivery), so the handler gets its full budget.
 		if m.Opts.NMICounter && ev != EventNMI && m.CPU.NMICounter > 0 {
 			m.CPU.NMICounter--
+		}
+		if m.PCHist != nil && ev == EventInstr {
+			m.PCHist.countPC(&m.CPU)
 		}
 
 		if m.AfterStep != nil {

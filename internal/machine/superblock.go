@@ -116,9 +116,12 @@ type superblock struct {
 	// succ caches the block most recently entered after this one
 	// exhausted — a monomorphic chain hint that lets the turbo loop
 	// follow block→block transitions without re-probing the table. It
-	// is only ever a hint: every use re-checks (lin, ip) and span
-	// freshness, so a stale pointer (the slot was rebuilt for another
-	// head) simply misses.
+	// is only ever a hint: sbBuild rebuilds a slot in place, so the
+	// pointed-to struct may since head another address, or the same
+	// head rebuilt as a negative block (n == 0, no entries) after its
+	// bytes stopped decoding. Every use therefore re-checks (lin, ip),
+	// n != 0 and span freshness, exactly as sbLookup does, and a stale
+	// pointer misses to the full path.
 	succ *superblock
 }
 
@@ -145,9 +148,10 @@ func (m *Machine) SetSuperblocks(on bool) {
 // boundaries): AfterStep nil, no latched pins, not halted, and no
 // ticker acts on any of the steps before stop. Each iteration performs
 // exactly one Step: Stats.Steps, the per-entry validation, the entry's
-// opFn, the NMI-counter decrement, and the trailing AfterStep check;
-// the skeleton's remaining checks are dead under the preconditions,
-// and the ticks are settled in bulk afterwards (or by a port access).
+// opFn, the NMI-counter decrement, the PCHist count, and the trailing
+// AfterStep check; the skeleton's remaining checks are dead under the
+// preconditions, and the ticks are settled in bulk afterwards (or by a
+// port access).
 //
 // At a block boundary (the block exhausted), the loop keeps going
 // without dropping out: the only instructions with skeleton-visible side
@@ -189,7 +193,7 @@ func (m *Machine) sbTurbo(b *superblock, done, stop, n int) (int, Event) {
 			if b.ip == ip && b.lin == lin {
 				// Loop back-edge: re-enter in place; the entry-0 check
 				// below revalidates span freshness.
-			} else if s := b.succ; s != nil && s.ip == ip && s.lin == lin && m.sbValidate(s) {
+			} else if s := b.succ; s != nil && s.ip == ip && s.lin == lin && s.n != 0 && m.sbValidate(s) {
 				b, m.sbCur = s, s
 				m.sbStamp = *m.busStamp
 			} else if s := m.sbLookup(lin, ip); s != nil && m.sbValidate(s) {
@@ -237,6 +241,17 @@ func (m *Machine) sbTurbo(b *superblock, done, stop, n int) (int, Event) {
 			if m.Opts.NMICounter && c.NMICounter > 0 {
 				c.NMICounter--
 			}
+			if h := m.PCHist; h != nil && ev == EventInstr {
+				// The post-step pc of a non-final entry is the next
+				// entry's lin, by the same argument that makes the
+				// continuation's (lin, ip) compare redundant; only the
+				// block-final entry has to read the CPU.
+				if i < len(b.ins) {
+					h.count(b.ins[i].lin)
+				} else {
+					h.countPC(c)
+				}
+			}
 			if m.AfterStep != nil {
 				// Installed by this very entry (a block-final port
 				// device): Step would invoke it on the installing step
@@ -271,7 +286,7 @@ func (m *Machine) sbTurbo(b *superblock, done, stop, n int) (int, Event) {
 // else a freshly entered (or rebuilt) block at cs:ip, else one
 // interpreter instruction. It serves every step the turbo lane cannot:
 // steps on which a ticker acts, an AfterStep hook installed (fault
-// windows, monitors, samplers), pins latched, the first step after a
+// windows, monitors, recorders), pins latched, the first step after a
 // halt or a turbo bail. The full per-entry (lin, ip, write
 // stamp) check makes whatever a ticker, device or hook mutated between
 // steps visible before the next entry runs.

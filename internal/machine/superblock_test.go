@@ -440,3 +440,43 @@ func TestDecodeCacheGuestStoreDifferential(t *testing.T) {
 		comparePair(t, pair, "guest-store soup/final")
 	}
 }
+
+// TestSuperblockChainIntoNegativeBlock pins Step totality when the turbo
+// lane's succ hint points at a slot that sbBuild rebuilt in place as a
+// negative block. P and H chain through each other's hints; H's head
+// byte is then clobbered, so its next entry rebuilds the very struct P's
+// hint points to with no entries and raises; the handler jumps back to
+// P, whose exhausted block must not follow the hint into H's empty
+// entry list.
+//
+//	0100:0000  P: nop; jmp 0x100
+//	0100:0100  H: nop; jmp 0      (head then clobbered with 0xFF)
+//	0100:0200  exception handler: jmp 0
+func TestSuperblockChainIntoNegativeBlock(t *testing.T) {
+	pair := newPairMachines(t, Options{
+		ResetVector:     SegOff{0x0100, 0},
+		ExceptionPolicy: ExceptionVector,
+		ExceptionVector: SegOff{0x0100, 0x200},
+	})
+	load := func(at uint32, ins ...isa.Inst) {
+		for i, b := range prog(ins...) {
+			a := at + uint32(i)
+			pairDo(pair, func(m *Machine) { m.Bus.PokeRAM(a, b) })
+		}
+	}
+	load(0x1000, isa.Inst{Op: isa.OpNop}, isa.Inst{Op: isa.OpJmp, Imm: 0x100})
+	load(0x1100, isa.Inst{Op: isa.OpNop}, isa.Inst{Op: isa.OpJmp, Imm: 0})
+	load(0x1200, isa.Inst{Op: isa.OpJmp, Imm: 0})
+	pairDo(pair, func(m *Machine) { m.Run(100) })
+	comparePair(t, pair, "chain warm-up")
+	pairDo(pair, func(m *Machine) {
+		m.Bus.PokeRAM(0x1100, 0xFF)
+		m.Run(100)
+	})
+	for i, m := range pair {
+		if m.Stats.Exceptions == 0 {
+			t.Fatalf("%s: clobbered head never raised: %v", pairLabels[i], m.Stats)
+		}
+	}
+	comparePair(t, pair, "chain into negative block")
+}

@@ -9,47 +9,30 @@ import (
 
 // Range is a named linear-address range used for program-counter
 // accounting (e.g. one per scheduled process).
-type Range struct {
-	Name  string
-	Start uint32 // inclusive
-	End   uint32 // exclusive
-}
-
-// Contains reports whether addr falls in the range.
-func (r Range) Contains(addr uint32) bool { return addr >= r.Start && addr < r.End }
+type Range = machine.PCRange
 
 // PCSampler counts, per instruction executed, which address range the
-// program counter was in. It implements the paper's fairness criterion
+// program counter is in after it. It implements the paper's fairness criterion
 // observably: "for every process there are infinite number of
 // configurations in which the program counter contains an address of
 // one of the process' instructions".
+//
+// The counts are a machine.PCHistogram that the step engine fills once
+// the sampler is attached: every instruction step charges its
+// post-step cs:ip, and sampling costs no AfterStep hook, so sampled
+// runs keep the superblock turbo lane.
 type PCSampler struct {
-	Ranges []Range
-	Counts []uint64
-	Other  uint64 // instructions outside every range
-	Total  uint64
+	machine.PCHistogram
 }
 
 // NewPCSampler builds a sampler over the given ranges.
 func NewPCSampler(ranges ...Range) *PCSampler {
-	return &PCSampler{Ranges: ranges, Counts: make([]uint64, len(ranges))}
+	return &PCSampler{*machine.NewPCHistogram(ranges...)}
 }
 
-// Observe accounts one executed instruction at the given machine state.
-func (s *PCSampler) Observe(m *machine.Machine, ev machine.Event) {
-	if ev != machine.EventInstr {
-		return
-	}
-	addr := m.CPU.PC().Linear()
-	s.Total++
-	for i, r := range s.Ranges {
-		if r.Contains(addr) {
-			s.Counts[i]++
-			return
-		}
-	}
-	s.Other++
-}
+// Attach makes m's step engine fill the sampler's counts, replacing
+// any histogram attached before. Set m.PCHist to nil to detach.
+func (s *PCSampler) Attach(m *machine.Machine) { m.PCHist = &s.PCHistogram }
 
 // Share returns the fraction of instructions executed inside range i.
 func (s *PCSampler) Share(i int) float64 {
@@ -71,15 +54,6 @@ func (s *PCSampler) MinShare() float64 {
 	return min
 }
 
-// Reset clears all counts.
-func (s *PCSampler) Reset() {
-	for i := range s.Counts {
-		s.Counts[i] = 0
-	}
-	s.Other = 0
-	s.Total = 0
-}
-
 func (s *PCSampler) String() string {
 	var b strings.Builder
 	for i, r := range s.Ranges {
@@ -96,8 +70,7 @@ func max64(a, b uint64) uint64 {
 	return b
 }
 
-// EventCounter tallies step events, usable as an AfterStep hook
-// together with other observers via Multi.
+// EventCounter tallies step events, usable as an AfterStep hook.
 type EventCounter struct {
 	Counts [6]uint64
 }
@@ -106,14 +79,5 @@ type EventCounter struct {
 func (c *EventCounter) Observe(_ *machine.Machine, ev machine.Event) {
 	if int(ev) < len(c.Counts) {
 		c.Counts[ev]++
-	}
-}
-
-// Multi fans one AfterStep hook out to several observers.
-func Multi(obs ...func(*machine.Machine, machine.Event)) func(*machine.Machine, machine.Event) {
-	return func(m *machine.Machine, ev machine.Event) {
-		for _, o := range obs {
-			o(m, ev)
-		}
 	}
 }

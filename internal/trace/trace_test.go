@@ -159,7 +159,8 @@ func TestPCSampler(t *testing.T) {
 		Range{Name: "rest", Start: 0x1001, End: 0x1010},
 	)
 	counter := &EventCounter{}
-	m.AfterStep = Multi(s.Observe, counter.Observe)
+	s.Attach(m)
+	m.AfterStep = counter.Observe
 	m.Run(30)
 	if s.Total != 30 {
 		t.Fatalf("total = %d", s.Total)
@@ -184,7 +185,7 @@ func TestPCSamplerOther(t *testing.T) {
 	bus.Poke(0x1000, byte(isa.OpJmp)) // jmp 0 loop
 	m := machine.New(bus, machine.Options{ResetVector: machine.SegOff{Seg: 0x0100, Off: 0}})
 	s := NewPCSampler(Range{Name: "elsewhere", Start: 0x9000, End: 0x9100})
-	m.AfterStep = s.Observe
+	s.Attach(m)
 	m.Run(5)
 	if s.Other != 5 || s.Share(0) != 0 {
 		t.Fatalf("other accounting: %v", s)
@@ -314,12 +315,122 @@ func TestPCSamplerBoundaryAttribution(t *testing.T) {
 		Range{Name: "a", Start: 0x1000, End: 0x1001},
 		Range{Name: "b", Start: 0x1001, End: 0x1002},
 	)
-	m.AfterStep = s.Observe
+	s.Attach(m)
 	m.Run(9) // three full loop iterations
 	if s.Counts[0] != 3 || s.Counts[1] != 3 {
 		t.Fatalf("boundary attribution: a=%d b=%d other=%d", s.Counts[0], s.Counts[1], s.Other)
 	}
 	if s.Other != 3 { // the jmp at 0x1002 lies in neither range
 		t.Fatalf("jmp accounting: other=%d", s.Other)
+	}
+}
+
+// TestPCSamplerCountsPostStepPC pins what the engine charges: the
+// program counter after each instruction step, not before it. Over a
+// four-instruction loop five steps visit the head once post-step
+// (after the jmp) but twice pre-step, on either engine.
+func TestPCSamplerCountsPostStepPC(t *testing.T) {
+	for _, engine := range []bool{true, false} {
+		bus := mem.NewBus()
+		for i, b := range []byte{byte(isa.OpNop), byte(isa.OpNop), byte(isa.OpNop), byte(isa.OpJmp), 0, 0} {
+			bus.Poke(0x1000+uint32(i), b)
+		}
+		m := machine.New(bus, machine.Options{ResetVector: machine.SegOff{Seg: 0x0100, Off: 0}})
+		m.SetSuperblocks(engine)
+		s := NewPCSampler(
+			Range{Name: "head", Start: 0x1000, End: 0x1001},
+			Range{Name: "body", Start: 0x1001, End: 0x1004},
+		)
+		s.Attach(m)
+		m.Run(5) // post-step pcs: 1001 1002 1003 1000 1001
+		if s.Counts[0] != 1 || s.Counts[1] != 4 || s.Other != 0 || s.Total != 5 {
+			t.Fatalf("engine=%v: %v counts=%v other=%d", engine, s, s.Counts, s.Other)
+		}
+	}
+}
+
+// TestPCSamplerStepEqualsRun: the counts the step engine charges do not
+// depend on how the steps are batched or which engine retires them.
+// Single Steps (the full skeleton), one Run (the turbo lane) and uneven
+// Run batches drive the same guest — two chained blocks, a hlt woken by
+// a timer IRQ whose handler irets — on both engines, and every sampler
+// must agree exactly, with one count per executed instruction.
+func TestPCSamplerStepEqualsRun(t *testing.T) {
+	code := []struct {
+		at  uint32
+		ins []isa.Inst
+	}{
+		{0x1000, []isa.Inst{
+			{Op: isa.OpSti},
+			{Op: isa.OpNop},
+			{Op: isa.OpIncR, R1: uint8(isa.AX)},
+			{Op: isa.OpNop},
+			{Op: isa.OpJmp, Imm: 0x40},
+		}},
+		{0x1040, []isa.Inst{
+			{Op: isa.OpNop},
+			{Op: isa.OpIncR, R1: uint8(isa.BX)},
+			{Op: isa.OpHlt},
+			{Op: isa.OpJmp, Imm: 0x01},
+		}},
+		{0x1080, []isa.Inst{ // timer handler
+			{Op: isa.OpIncR, R1: uint8(isa.CX)},
+			{Op: isa.OpIret},
+		}},
+	}
+	const steps = 5000
+	var samplers []*PCSampler
+	for _, engine := range []bool{true, false} {
+		for mode := 0; mode < 3; mode++ {
+			bus := mem.NewBus()
+			for _, c := range code {
+				var b []byte
+				for _, in := range c.ins {
+					b = in.Encode(b)
+				}
+				for i, v := range b {
+					bus.Poke(c.at+uint32(i), v)
+				}
+			}
+			m := machine.New(bus, machine.Options{ResetVector: machine.SegOff{Seg: 0x0100, Off: 0}})
+			m.SetSuperblocks(engine)
+			m.CPU.S[isa.SS], m.CPU.R[isa.SP] = 0x2000, 0x1000
+			m.SetIDTEntry(machine.VecTimer, machine.SegOff{Seg: 0x0100, Off: 0x80})
+			m.AddTicker(dev.NewTimer(37, machine.VecTimer))
+			s := NewPCSampler(
+				Range{Name: "main", Start: 0x1000, End: 0x1003},
+				Range{Name: "loop", Start: 0x1040, End: 0x1050},
+				Range{Name: "wide", Start: 0x1000, End: 0x1100}, // overlaps both
+			)
+			s.Attach(m)
+			switch mode {
+			case 0:
+				for i := 0; i < steps; i++ {
+					m.Step()
+				}
+			case 1:
+				m.Run(steps)
+			case 2:
+				rng := rand.New(rand.NewSource(5))
+				for left := steps; left > 0; {
+					n := min(left, rng.Intn(90)+1)
+					m.Run(n)
+					left -= n
+				}
+			}
+			if s.Total != m.Stats.Instrs || m.Stats.IRQs == 0 || m.Stats.HaltTicks == 0 {
+				t.Fatalf("engine=%v mode=%d: total=%d, %v", engine, mode, s.Total, m.Stats)
+			}
+			if s.Counts[0] == 0 || s.Counts[1] == 0 || s.Counts[2] == 0 {
+				t.Fatalf("engine=%v mode=%d: a range never counted: %v", engine, mode, s.Counts)
+			}
+			samplers = append(samplers, s)
+		}
+	}
+	for i, s := range samplers[1:] {
+		if !slices.Equal(s.Counts, samplers[0].Counts) || s.Other != samplers[0].Other || s.Total != samplers[0].Total {
+			t.Fatalf("sampler %d: counts=%v other=%d total=%d, want %v %d %d", i+1,
+				s.Counts, s.Other, s.Total, samplers[0].Counts, samplers[0].Other, samplers[0].Total)
+		}
 	}
 }
